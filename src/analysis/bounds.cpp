@@ -213,17 +213,6 @@ MethodBounds compute_bounds(const bytecode::Method& m,
   return out;
 }
 
-MethodBounds compute_bounds(const bytecode::Method& m,
-                            const fabric::DataflowGraph& graph,
-                            const fabric::Fabric& fabric,
-                            const fabric::Placement& placement,
-                            const sim::MachineConfig& config) {
-  (void)fabric;  // geometry is re-derived from `config` at lowering
-  sim::ExecPlanBuilder builder;
-  const sim::ExecPlan plan = builder.build(m, graph, &placement, config);
-  return compute_bounds(m, plan);
-}
-
 void lint_bounds(const bytecode::Method& m, const sim::MachineConfig& config,
                  const MethodBounds& bounds, const LintOptions& options,
                  LintReport& out) {
@@ -310,12 +299,13 @@ LintReport bounds_corpus(const bytecode::Program& program,
     if (!vr.ok) return;  // lint_corpus reports these as JF-E003
     const fabric::DataflowGraph graph =
         fabric::build_dataflow_graph(m, program.pool);
+    sim::ExecPlanBuilder builder;
     for (const sim::MachineConfig& config : configs) {
       const fabric::Fabric fab(config.fabric_options());
       const fabric::Placement placement = fabric::load_method(fab, m);
       if (!placement.fits) continue;  // lint_placement reports JF-E007
       const MethodBounds bounds =
-          compute_bounds(m, graph, fab, placement, config);
+          compute_bounds(m, builder.build(m, graph, &placement, config));
       lint_bounds(m, config, bounds, options, rep);
       ++rep.placements_linted;
     }

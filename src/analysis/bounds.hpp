@@ -97,16 +97,6 @@ struct MethodBounds {
 MethodBounds compute_bounds(const bytecode::Method& m,
                             const sim::ExecPlan& plan);
 
-// Convenience wrapper for callers holding the un-lowered pieces: lowers
-// (graph, placement, config) to a plan and delegates. `graph` must be
-// the dataflow graph of `m` and `placement` a load of it onto `fabric`
-// built from `config`.
-MethodBounds compute_bounds(const bytecode::Method& m,
-                            const fabric::DataflowGraph& graph,
-                            const fabric::Fabric& fabric,
-                            const fabric::Placement& placement,
-                            const sim::MachineConfig& config);
-
 // Static resource rules over a computed bound: JF-E008 when a node
 // provably needs more operand buffering than `options.node_buffer_capacity`
 // provides, JF-W103 when the occupancy upper bound exceeds it without a

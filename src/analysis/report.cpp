@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -101,16 +102,22 @@ void print_header(const std::string& text, std::ostream& os) {
      << std::string(72, '=') << "\n";
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   for (const char c : s) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+      continue;
+    }
     if (c == '"' || c == '\\') out.push_back('\\');
     out.push_back(c);
   }
   return out;
 }
+
+namespace {
 
 void write_profile_lane(std::ostream& os, const SweepProfile::Lane& lane) {
   os << "{\"verify_s\":" << lane.verify_s
@@ -136,10 +143,9 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
   const std::vector<NetworkRow> net = network_rows(sweep);
 
   os << "{\n";
-  if (!sweep.scheduler.empty()) {
-    os << in1 << "\"scheduler\": \"" << json_escape(sweep.scheduler)
-       << "\",\n";
-  }
+  // Fixed since the engine has one scheduler; kept so readers of older
+  // reports see the same keys.
+  os << in1 << "\"scheduler\": \"calendar\",\n";
   os << in1 << "\"configs\": [\n";
   for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
     const FomRow& f = fom[ci];

@@ -4,6 +4,7 @@
 
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/figure_of_merit.hpp"
@@ -36,6 +37,11 @@ class Table {
 
 // Section header used between tables in a bench binary's output.
 void print_header(const std::string& text, std::ostream& os = std::cout);
+
+// Escapes `s` for a JSON string literal: backslash before `"` and `\`,
+// \u00XX for control characters. Used for every string the reports
+// write (names, environment values).
+std::string json_escape(std::string_view s);
 
 // Machine-readable sweep report: per-config aggregates — IPC / FoM plus
 // the network-traffic and execution-overlap fields RunMetrics measures

@@ -93,14 +93,16 @@ Hash128 hash_config(const sim::MachineConfig& config) {
   return hash_bytes(config.canonical_text());
 }
 
-Hash128 hash_engine_options(const sim::EngineOptions& options,
-                            sim::SchedulerKind resolved_scheduler) {
+Hash128 hash_engine_options(const sim::EngineOptions& options) {
   Hasher h;
   h.u32(kEngineOptionsEncoding);
   h.i64(options.max_ticks);
   h.i32(options.inject_exception_at);
   h.i32(options.inject_exception_fire);
-  h.str(sim::scheduler_name(resolved_scheduler));
+  // The engine once had a selectable scheduler whose name was keyed
+  // here; the one that remains is hashed by that name so cache keys
+  // written before the others were removed stay valid.
+  h.str("calendar");
   return h.digest();
 }
 

@@ -9,14 +9,14 @@
 //   * a digest of the whole ConstantPool (graph construction and ring
 //     traffic read pool entries, including interpreter-resolved slots);
 //   * the canonical MachineConfig text (sim::MachineConfig::canonical_text);
-//   * the branch scenario and the resolved event scheduler;
+//   * the branch scenario;
 //   * the engine-options fields that alter results (tick budget,
 //     exception injection);
 //   * kEngineFingerprint, bumped by hand whenever simulation semantics
 //     change (event ordering, Table 17 costs, network timing, …).
 //
 // Records are grouped one file per method: the file is addressed by
-// (method body, pool) only, so every config/scenario/scheduler variant
+// (method body, pool) only, so every config/scenario variant
 // of a method shares one record and a warm full-corpus sweep pays one
 // file read per method instead of twelve.
 #pragma once
@@ -34,7 +34,7 @@
 namespace javaflow::cache {
 
 // Bump whenever a change anywhere in the simulator can alter RunMetrics
-// for an unchanged (method, pool, config, scenario, scheduler) tuple:
+// for an unchanged (method, pool, config, scenario) tuple:
 // engine event semantics, Table 17 execution costs, network transit
 // rules, placement policy, dataflow-graph construction. Every record
 // carries the fingerprint it was produced under; a mismatch is a miss
@@ -85,10 +85,8 @@ Hash128 hash_pool(const bytecode::ConstantPool& pool);
 // Digest of a machine configuration via its canonical text.
 Hash128 hash_config(const sim::MachineConfig& config);
 
-// Digest of the EngineOptions fields that can change results, plus the
-// *resolved* scheduler (callers resolve Auto before keying).
-Hash128 hash_engine_options(const sim::EngineOptions& options,
-                            sim::SchedulerKind resolved_scheduler);
+// Digest of the EngineOptions fields that can change results.
+Hash128 hash_engine_options(const sim::EngineOptions& options);
 
 // Address of a method's record file: (body, pool) only — see above.
 Hash128 record_key(const Hash128& method_body, const Hash128& pool);

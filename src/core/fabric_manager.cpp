@@ -11,8 +11,7 @@ FabricManager::FabricManager(sim::MachineConfig config,
     : config_(std::move(config)),
       engine_(config_, engine_options),
       fabric_(config_.fabric_options()),
-      occupied_(static_cast<std::size_t>(config_.capacity), false),
-      plan_mode_(sim::resolve_plan_mode(engine_options.plan)) {}
+      occupied_(static_cast<std::size_t>(config_.capacity), false) {}
 
 FabricManager::Canon& FabricManager::ensure_canon(
     const bytecode::Method& m, const bytecode::ConstantPool& pool) {
@@ -129,8 +128,7 @@ std::optional<sim::RunMetrics> FabricManager::execute(
   r.busy = true;
   sim::BranchPredictor predictor(scenario);
   sim::RunMetrics metrics;
-  if (plan_mode_ == sim::PlanMode::On && r.plan != nullptr &&
-      r.plan->fits()) {
+  if (r.plan != nullptr && r.plan->fits()) {
     // Plan path on the persistent engine: a shared canonical plan runs
     // in its own frame, so only max_slot needs rebasing to the actual
     // placement (row-shift invariance covers every other field).

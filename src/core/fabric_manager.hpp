@@ -128,7 +128,6 @@ class FabricManager {
   std::int32_t occupied_count_ = 0;
   MethodId next_id_ = 1;
   std::map<MethodId, Resident> residents_;
-  sim::PlanMode plan_mode_ = sim::PlanMode::On;
   std::map<const bytecode::Method*, Canon> canon_;
   sim::ExecPlanBuilder plan_builder_;
   std::int64_t plans_shared_ = 0;

@@ -138,22 +138,15 @@ struct PathStep {
 };
 
 struct AttributeOptions {
-  // Mesh width of the configuration (> 0 enables per-physical-link
-  // decomposition of MeshTransit segments via X-Y routing). Collapsed
-  // (Baseline) meshes have no meaningful route; leave width at 0 or set
-  // `collapsed` and link attribution is skipped.
-  std::int32_t mesh_width = 0;
-  bool collapsed = false;
   // Collect the full step list and per-node/opcode/link aggregates.
   // Sweep-scale callers that only need the category vector turn this
   // off.
   bool detail = true;
   // Pre-lowered execution plan of the run being attributed (docs/PERF.md
-  // "Execution plans"). When set, MeshTransit link decomposition replays
-  // the plan's precomputed X-Y route spans instead of re-walking a
-  // net::MeshNetwork — same links, same order, no routing work. The
-  // plan's own collapsed flag gates the decomposition, so mesh_width /
-  // collapsed above are ignored.
+  // "Execution plans"). In detail mode, MeshTransit segments are spread
+  // over the plan's precomputed X-Y route links (`link_ticks`); without
+  // a plan, or on a collapsed (Baseline) mesh, link attribution is
+  // skipped.
   const sim::ExecPlan* plan = nullptr;
 };
 

@@ -1,11 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,22 +15,16 @@ namespace javaflow::sim {
 namespace {
 
 using bytecode::Group;
-using bytecode::Instruction;
 using bytecode::Method;
-using bytecode::Op;
 using fabric::DataflowGraph;
-using fabric::Edge;
-using fabric::Fabric;
 using fabric::Placement;
 using net::Command;
 
 // Token, NodeRt, the firing-state bits, the 32-byte Event record, and
-// the calendar constants are shared with the multi-tenant MultiEngine
+// the calendar queue are shared with the multi-tenant MultiEngine
 // (sim/engine_internal.hpp). Single-method runs leave Event::res at 0.
 using detail::Event;
-using detail::EventAfter;
 using detail::EvKind;
-using detail::is_switch;
 using detail::kExecuting;
 using detail::kFired;
 using detail::kHeadReceived;
@@ -66,29 +56,8 @@ struct detail::EngineWorkspace {
   std::vector<char> node_exec_busy;
   std::vector<std::vector<std::int32_t>> pending_fire;
 
-  // Legacy-path static lanes, filled by prepare_node() per run. On the
-  // plan path the Run binds its static-lane pointers straight into the
-  // ExecPlan arena instead and these stay untouched.
-  std::vector<std::uint8_t> s_group;   // Instruction::group()
-  std::vector<std::uint8_t> s_op;      // opcode byte
-  std::vector<std::uint8_t> s_flags;   // kPlanBuffers|kPlanOrdered|...
-  std::vector<std::int32_t> s_pop;     // operands required to fire
-  std::vector<std::int32_t> s_local;   // bytecode::local_register
-  std::vector<std::int32_t> s_phys;    // physical node of the slot
-  std::vector<std::int32_t> s_target;  // branch target
-  std::vector<std::int32_t> s_operand; // switch-table index
-  std::vector<std::int32_t> s_exec;    // k * Table 17 cost, in ticks
-
-  // Event-queue backing stores. `heap` backs the binary-heap scheduler;
-  // `buckets`/`overflow`/`cal_words` back the calendar queue (one
-  // occupancy bit per bucket, so empty-bucket scans are word-parallel
-  // and end-of-run cleanup clears only dirty buckets). All grow
-  // monotonically over the workspace lifetime so the sweep inner loop
-  // stops paying reserve/allocation costs after the first few runs.
-  std::vector<Event> heap;
-  std::vector<std::vector<Event>> buckets;
-  std::vector<std::uint64_t> cal_words;
-  std::vector<Event> overflow;
+  // The event queue; see detail::CalendarQueue for the order argument.
+  detail::CalendarQueue calendar;
   std::vector<Token> flush_scratch;  // flush_up bundle staging
   // Flight-recorder lanes: arrival edges of flushed tokens (parallels
   // flush_scratch) and the edge that made each node fire-ready while its
@@ -96,22 +65,14 @@ struct detail::EngineWorkspace {
   std::vector<std::int32_t> flush_edge_scratch;
   std::vector<std::int32_t> node_ready_edge;
 
-  // classify_branches() cache: configuration-independent, so it only
-  // needs recomputing when the engine is handed a different method.
-  // Keyed on address + size + name so a recycled allocation holding a
-  // different method cannot alias a stale classification.
-  const bytecode::Method* branch_method = nullptr;
-  std::size_t branch_code_size = 0;
-  std::string branch_name;
-  std::vector<std::uint8_t> branch_kinds;
-
-  // Lowered-plan cache (EngineOptions::plan == On): the plan for the
-  // most recent method, keyed like the branch cache plus a slot-lane
-  // equality check when the caller supplies an external placement (the
-  // fabric manager re-places co-resident methods, so the same method
-  // can legitimately arrive with different slots). The builder's
-  // scratch and the plan's arena both grow monotonically across
-  // rebuilds.
+  // Lowered-plan cache: the plan for the most recent method handed to
+  // run(m, graph[, placement]), keyed on address + size + name (so a
+  // recycled allocation holding a different method cannot alias a stale
+  // plan) plus a slot-lane equality check when the caller supplies an
+  // external placement (the fabric manager re-places co-resident
+  // methods, so the same method can legitimately arrive with different
+  // slots). The builder's scratch and the plan's arena both grow
+  // monotonically across rebuilds.
   const bytecode::Method* plan_method = nullptr;
   std::size_t plan_code_size = 0;
   std::string plan_name;
@@ -124,35 +85,27 @@ struct detail::EngineWorkspace {
 namespace {
 
 // One engine run. `kInstr` compiles the telemetry hooks in or out: the
-// uninstrumented instantiation (no metrics/tracer/flight/trace) folds
-// every null-check guard to a constant, so the sweep hot path carries
-// zero instrumentation branches. `kCal` selects the scheduler at
-// compile time, so the per-event enqueue path has no implementation
-// branch either. Static per-node data is read through raw const
-// pointers that alias either the ExecPlan arena (plan path) or the
-// workspace's legacy lanes (prepare_node path).
-template <bool kInstr, bool kCal>
+// uninstrumented instantiation (no metrics/tracer/flight) folds every
+// null-check guard to a constant, so the sweep hot path carries zero
+// instrumentation branches. Static per-node data is read through raw
+// const pointers into the ExecPlan arena.
+template <bool kInstr>
 class Run {
  public:
   Run(const MachineConfig& cfg, const EngineOptions& opt, const Method& m,
-      const DataflowGraph* graph, BranchPredictor& predictor,
-      const Placement* placement, const ExecPlan* plan,
+      BranchPredictor& predictor, const ExecPlan& plan,
       detail::EngineWorkspace& ws)
-      : external_placement_(placement),
-        plan_(plan),
+      : plan_(plan),
         cfg_(cfg),
         opt_(opt),
         m_(m),
-        graph_(graph),
         predictor_(predictor),
         k_(cfg.serial_per_mesh),
         hop_(cfg.collapsed() ? 0 : 1),
         idus_(std::max(cfg.idus_per_node, 1)),
-        trace_(opt.trace),
         mx_(opt.metrics),
         tr_(opt.tracer),
         fr_(opt.flight),
-        ws_(ws),
         node_exec_busy_(ws.node_exec_busy),
         pending_fire_(ws.pending_fire),
         nodes_(ws.nodes),
@@ -163,20 +116,10 @@ class Run {
         head_tick_(ws.node_head_tick),
         tail_hold_(ws.node_tail_hold),
         distinct_(ws.distinct),
-        heap_(ws.heap),
-        buckets_(ws.buckets),
-        cal_words_(ws.cal_words),
-        overflow_(ws.overflow),
+        cal_(ws.calendar),
         flush_scratch_(ws.flush_scratch),
         flush_edge_scratch_(ws.flush_edge_scratch),
-        node_ready_edge_(ws.node_ready_edge) {
-    // The legacy walk needs a live Fabric (placement, mesh routing);
-    // the plan path reads everything from the lowered arena.
-    if (plan_ == nullptr) fabric_.emplace(cfg.fabric_options());
-  }
-
-  // Physical Instruction Node hosting an IDU chain slot (§4.2).
-  std::int32_t phys_of_slot(std::int32_t slot) const { return slot / idus_; }
+        node_ready_edge_(ws.node_ready_edge) {}
 
   RunMetrics execute() {
     RunMetrics metrics;
@@ -185,50 +128,20 @@ class Run {
     if (fr() != nullptr) fr()->reset();
     metrics.static_size = static_cast<std::int32_t>(m_.code.size());
     const std::size_t nn = m_.code.size();
-    if (plan_ != nullptr) {
-      if (!plan_->fits()) return metrics;
-      metrics.fits = true;
-      metrics.max_slot = plan_->max_slot();
-      max_phys_ = plan_->max_phys();
-      group_ = plan_->group();
-      op_ = plan_->op();
-      nflags_ = plan_->flags();
-      bkinds_ = plan_->branch_kinds();
-      pop_need_ = plan_->pop_need();
-      local_reg_ = plan_->local_reg();
-      phys_ = plan_->phys();
-      target_ = plan_->target();
-      operand_ = plan_->operand();
-      exec_cost_ = plan_->exec_cost_ticks();
-    } else {
-      placement_ = external_placement_ != nullptr
-                       ? *external_placement_
-                       : fabric::load_method(*fabric_, m_);
-      if (!placement_.fits) return metrics;
-      metrics.fits = true;
-      metrics.max_slot = placement_.max_slot;
-      max_phys_ = phys_of_slot(placement_.max_slot);
-      ws_.s_group.resize(nn);
-      ws_.s_op.resize(nn);
-      ws_.s_flags.resize(nn);
-      ws_.s_pop.resize(nn);
-      ws_.s_local.resize(nn);
-      ws_.s_phys.resize(nn);
-      ws_.s_target.resize(nn);
-      ws_.s_operand.resize(nn);
-      ws_.s_exec.resize(nn);
-      for (std::size_t i = 0; i < nn; ++i) prepare_node(i);
-      group_ = ws_.s_group.data();
-      op_ = ws_.s_op.data();
-      nflags_ = ws_.s_flags.data();
-      bkinds_ = ws_.branch_kinds.data();
-      pop_need_ = ws_.s_pop.data();
-      local_reg_ = ws_.s_local.data();
-      phys_ = ws_.s_phys.data();
-      target_ = ws_.s_target.data();
-      operand_ = ws_.s_operand.data();
-      exec_cost_ = ws_.s_exec.data();
-    }
+    if (!plan_.fits()) return metrics;
+    metrics.fits = true;
+    metrics.max_slot = plan_.max_slot();
+    max_phys_ = plan_.max_phys();
+    group_ = plan_.group();
+    op_ = plan_.op();
+    nflags_ = plan_.flags();
+    bkinds_ = plan_.branch_kinds();
+    pop_need_ = plan_.pop_need();
+    local_reg_ = plan_.local_reg();
+    phys_ = plan_.phys();
+    target_ = plan_.target();
+    operand_ = plan_.operand();
+    exec_cost_ = plan_.exec_cost_ticks();
 
     node_exec_busy_.assign(static_cast<std::size_t>(max_phys_ + 1), 0);
     // Keep the per-physical-node pending lists (and their capacity)
@@ -255,17 +168,9 @@ class Run {
     distinct_.assign(nn, 0);
     if (fr() != nullptr) node_ready_edge_.assign(nn, -1);
 
-    if constexpr (kCal) {
-      init_calendar();
-    } else {
-      init_heap();
-    }
+    init_calendar();
     inject_bundle();
-    if constexpr (kCal) {
-      run_calendar(metrics);
-    } else {
-      run_heap(metrics);
-    }
+    run_calendar(metrics);
 
     flush_exec_accounting();
     metrics.completed = completed_;
@@ -290,39 +195,9 @@ class Run {
   obs::MetricsRegistry* mx() const { return kInstr ? mx_ : nullptr; }
   obs::EventTracer* tr() const { return kInstr ? tr_ : nullptr; }
   obs::FlightRecorder* fr() const { return kInstr ? fr_ : nullptr; }
-  bool trace_on() const { return kInstr && trace_; }
 
   bool flag(std::size_t u, std::uint8_t f) const {
     return (nflags_[u] & f) != 0;
-  }
-
-  // Legacy-path lowering of one node into the workspace static lanes —
-  // exactly what ExecPlanBuilder precomputes once per (method, config).
-  void prepare_node(std::size_t i) {
-    const Instruction& inst = m_.code[i];
-    const Group g = inst.group();
-    ws_.s_group[i] = static_cast<std::uint8_t>(g);
-    ws_.s_op[i] = static_cast<std::uint8_t>(inst.op);
-    const bool sw = is_switch(inst.op);
-    const bool is_goto = inst.op == Op::goto_ || inst.op == Op::goto_w;
-    std::uint8_t f = 0;
-    if (g == Group::ControlFlow || g == Group::Return || sw) {
-      f |= kPlanBuffers;
-    }
-    if (g == Group::MemRead || g == Group::MemWrite) f |= kPlanOrdered;
-    if (is_goto) f |= kPlanGoto;
-    if (is_goto && inst.target < static_cast<std::int32_t>(i)) {
-      f |= kPlanBackwardGoto;
-    }
-    if (sw) f |= kPlanSwitch;
-    ws_.s_flags[i] = f;
-    ws_.s_pop[i] = inst.pop;
-    ws_.s_local[i] = bytecode::local_register(inst);
-    ws_.s_phys[i] = phys_of_slot(placement_.slot_of[i]);
-    ws_.s_target[i] = inst.target;
-    ws_.s_operand[i] = inst.operand;
-    ws_.s_exec[i] = static_cast<std::int32_t>(
-        k_ * bytecode::execution_mesh_cycles(g));
   }
 
   // Iteration reset (loop replay): clears the hot lanes and the cold
@@ -341,26 +216,7 @@ class Run {
     nodes_[u].reset_cold();
   }
 
-  // ---- schedulers ----
-  //
-  // Both hand events out in ascending (tick, seq): the binary heap by
-  // comparator, the calendar queue by construction — every bucket in the
-  // active window holds exactly one tick with events appended in seq
-  // order (overflow spill migrates into the window before any same-tick
-  // event can be scheduled directly, and seq grows monotonically with
-  // scheduling time). docs/PERF.md sketches the full argument;
-  // tests/test_scheduler.cpp asserts bit-identical output.
-
-  void init_heap() {
-    heap_.clear();
-    // Amortize event-queue growth: outstanding events scale with the
-    // token bundle plus in-flight mesh traffic, both O(method size).
-    // Monotonic over the workspace lifetime — once a previous run grew
-    // the buffer this is a no-op, not a fresh reserve.
-    const std::size_t want = std::max<std::size_t>(64, 4 * m_.code.size());
-    if (heap_.capacity() < want) heap_.reserve(want);
-  }
-
+  // ---- event queue ----
   void init_calendar() {
     // Size the ring from the largest bounded delay the model can emit:
     // serial chain traversal (+ bundle spacing), a corner-to-corner mesh
@@ -380,45 +236,9 @@ class Run {
     const std::int64_t cap = std::min<std::int64_t>(h + 1, kMaxBuckets);
     std::int64_t b = 64;  // >= one full occupancy word
     while (b < cap) b <<= 1;
-    bucket_count_ = b;
-    bucket_mask_ = b - 1;
-    if (buckets_.size() < static_cast<std::size_t>(b)) {
-      buckets_.resize(static_cast<std::size_t>(b));
-    }
-    const std::size_t nwords = buckets_.size() >> 6;
-    if (cal_words_.size() < nwords) cal_words_.resize(nwords, 0);
-    // A completed run can leave undrained events behind, but only in
-    // buckets whose occupancy bit is still set — clear exactly those
-    // instead of sweeping the whole ring.
-    for (std::size_t w = 0; w < cal_words_.size(); ++w) {
-      std::uint64_t bits = cal_words_[w];
-      while (bits != 0) {
-        const int bit = std::countr_zero(bits);
-        bits &= bits - 1;
-        buckets_[(w << 6) | static_cast<std::size_t>(bit)].clear();
-      }
-      cal_words_[w] = 0;
-    }
-    overflow_.clear();
-    cal_cur_ = 0;
-    live_events_ = 0;
-  }
-
-  [[gnu::always_inline]] inline void bucket_insert(const Event& ev) {
-    const auto bi = static_cast<std::size_t>(ev.tick & bucket_mask_);
-    buckets_[bi].push_back(ev);
-    cal_words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
-  }
-
-  // Slow enqueue paths, kept out of line so the hot path below stays
-  // small enough to inline into every schedule site.
-  [[gnu::noinline]] void enqueue_overflow(const Event& ev) {
-    overflow_.push_back(ev);
-    std::push_heap(overflow_.begin(), overflow_.end(), EventAfter{});
-  }
-  [[gnu::noinline]] void enqueue_heap(const Event& ev) {
-    heap_.push_back(ev);
-    std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
+    // A completed run can leave undrained events behind; reset drops
+    // them along with the previous run's ring size.
+    cal_.reset(b);
   }
 
   // Every schedule site names the delay category its event represents;
@@ -433,112 +253,25 @@ class Run {
       Event ev, obs::PathCategory cat,
       std::int32_t parent = kParentCurrent, std::int32_t from_phys = -1,
       std::int32_t to_phys = -1, std::uint8_t opcode = 0) {
-    ev.seq = seq_++;
+    cal_.push(ev);
     if (fr() != nullptr) {
       fr()->record_event(
           ev.seq,
           {now_, ev.tick, parent == kParentCurrent ? cur_edge_ : parent,
            ev.node, from_phys, to_phys, cat, opcode});
     }
-    if constexpr (kCal) {
-      ++live_events_;
-      if (ev.tick < cal_cur_ + bucket_count_) [[likely]] {
-        bucket_insert(ev);
-      } else {
-        enqueue_overflow(ev);
-      }
-    } else {
-      enqueue_heap(ev);
-    }
-  }
-
-  // Pull every spilled event whose tick entered the active window into
-  // its bucket. Called before any draining/scheduling at the current
-  // tick, so spilled events always precede later direct insertions and
-  // buckets stay seq-sorted.
-  void migrate_overflow() {
-    while (!overflow_.empty() &&
-           overflow_.front().tick < cal_cur_ + bucket_count_) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
-      const Event ev = overflow_.back();
-      overflow_.pop_back();
-      bucket_insert(ev);
-    }
-  }
-
-  // Tick of the next non-empty bucket strictly after cal_cur_, found by
-  // a word-parallel circular scan of the occupancy bitmap (the window
-  // holds at most one tick per bucket, so a set bit maps to exactly one
-  // pending tick). INT64_MAX when every bucket is empty.
-  std::int64_t next_bucket_tick() const {
-    const auto mask = static_cast<std::uint64_t>(bucket_mask_);
-    const std::uint64_t start =
-        (static_cast<std::uint64_t>(cal_cur_) + 1) & mask;
-    const auto nwords = static_cast<std::size_t>(bucket_count_ >> 6);
-    const auto w0 = static_cast<std::size_t>(start >> 6);
-    std::uint64_t bits = cal_words_[w0] & (~std::uint64_t{0} << (start & 63));
-    if (bits != 0) {
-      const std::uint64_t j =
-          (static_cast<std::uint64_t>(w0) << 6) +
-          static_cast<std::uint64_t>(std::countr_zero(bits));
-      return cal_cur_ + 1 + static_cast<std::int64_t>((j - start) & mask);
-    }
-    for (std::size_t s = 1; s <= nwords; ++s) {
-      const std::size_t w = (w0 + s) % nwords;
-      bits = cal_words_[w];
-      if (w == w0) {
-        const std::uint64_t low = start & 63;
-        bits &= low != 0 ? (std::uint64_t{1} << low) - 1 : std::uint64_t{0};
-      }
-      if (bits != 0) {
-        const std::uint64_t j =
-            (static_cast<std::uint64_t>(w) << 6) +
-            static_cast<std::uint64_t>(std::countr_zero(bits));
-        return cal_cur_ + 1 + static_cast<std::int64_t>((j - start) & mask);
-      }
-    }
-    return std::numeric_limits<std::int64_t>::max();
-  }
-
-  void run_heap(RunMetrics& metrics) {
-    while (!heap_.empty() && !completed_) {
-      std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
-      const Event ev = heap_.back();
-      heap_.pop_back();
-      now_ = ev.tick;
-      if (trace_on()) trace_event(ev);
-      if (now_ > opt_.max_ticks) {
-        metrics.timed_out = true;
-        break;
-      }
-      if (fr() != nullptr) cur_edge_ = fr()->edge_of_seq(ev.seq);
-      dispatch(ev);
-    }
   }
 
   void run_calendar(RunMetrics& metrics) {
-    while (live_events_ > 0 && !completed_) {
-      migrate_overflow();
-      auto bix = static_cast<std::size_t>(cal_cur_ & bucket_mask_);
-      std::vector<Event>* bucket = &buckets_[bix];
+    while (cal_.live() > 0 && !completed_) {
+      cal_.migrate_overflow();
+      std::vector<Event>* bucket = &cal_.current();
       while (bucket->empty()) {
-        // Jump straight to the next pending tick: the earlier of the
-        // next occupied bucket (bitmap scan) and the overflow front —
-        // never walk empty buckets one at a time.
-        std::int64_t next = next_bucket_tick();
-        if (!overflow_.empty() && overflow_.front().tick < next) {
-          next = overflow_.front().tick;
-        }
-        cal_cur_ = next;
-        migrate_overflow();
-        bix = static_cast<std::size_t>(cal_cur_ & bucket_mask_);
-        bucket = &buckets_[bix];
+        cal_.advance_to(cal_.next_pending_tick());
+        bucket = &cal_.current();
       }
-      now_ = cal_cur_;
+      now_ = cal_.cursor();
       if (now_ > opt_.max_ticks) {
-        // Match the heap's abort trace: it pops (and prints) exactly the
-        // first over-budget event before giving up.
-        if (trace_on()) trace_event(bucket->front());
         metrics.timed_out = true;
         break;
       }
@@ -549,14 +282,12 @@ class Run {
       std::size_t i = 0;
       for (; i < bucket->size() && !completed_; ++i) {
         const Event ev = (*bucket)[i];
-        if (trace_on()) trace_event(ev);
         if (fr() != nullptr) cur_edge_ = fr()->edge_of_seq(ev.seq);
         dispatch(ev);
       }
-      live_events_ -= static_cast<std::int64_t>(i);
-      bucket->clear();
-      cal_words_[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
-      ++cal_cur_;
+      cal_.consumed(static_cast<std::int64_t>(i));
+      cal_.clear_current();
+      cal_.set_cursor(cal_.cursor() + 1);
     }
   }
 
@@ -571,22 +302,6 @@ class Run {
       case EvKind::ExecDone: on_exec_done(ev.node); break;
       case EvKind::ServiceDone: on_service_done(ev.node); break;
     }
-  }
-
-  void trace_event(const Event& ev) {
-    const char* kind = ev.kind() == EvKind::Serial ? "serial"
-                       : ev.kind() == EvKind::Mesh ? "mesh"
-                       : ev.kind() == EvKind::ExecDone ? "exec" : "svc";
-    std::fprintf(stderr, "t=%lld %s node=%d", (long long)ev.tick, kind,
-                 ev.node);
-    if (ev.kind() == EvKind::Serial) {
-      std::fprintf(stderr, " cmd=%s reg=%d",
-                   std::string(net::command_name(ev.cmd)).c_str(), ev.aux);
-    }
-    if (ev.kind() == EvKind::Mesh) {
-      std::fprintf(stderr, " side=%d epoch=%d", ev.side(), ev.aux);
-    }
-    std::fprintf(stderr, "\n");
   }
 
   // ---- scheduling helpers ----
@@ -624,41 +339,22 @@ class Run {
   void send_mesh(std::int32_t producer) {
     const auto u = static_cast<std::size_t>(producer);
     const std::int32_t from_phys = phys_[u];
-    if (plan_ != nullptr) {
-      // Plan fast path: CSR edges with delivery already in ticks; route
-      // links replay from the arena in the exact X-Y walk order.
-      const std::int32_t* eb = plan_->edge_begin();
-      const PlanEdge* e = plan_->edges() + eb[u];
-      const PlanEdge* const end = plan_->edges() + eb[u + 1];
-      for (; e != end; ++e) {
-        ++mesh_messages_;
-        if (mx() != nullptr) record_mesh_metrics_plan(*e);
-        Event ev;
-        ev.set(EvKind::Mesh, e->side);
-        ev.node = e->consumer;
-        ev.prod = producer;
-        ev.aux = epoch_[static_cast<std::size_t>(e->consumer)];
-        ev.tick = now_ + e->delivery_ticks;
-        schedule(ev, obs::PathCategory::MeshTransit, kParentCurrent,
-                 from_phys, e->to_phys);
-      }
-      return;
-    }
-    for (const Edge& e : graph_->consumers_of[u]) {
-      if (e.back) continue;  // absent in valid Java (Table 7)
+    // CSR edges with delivery already in ticks; route links replay from
+    // the arena in the exact X-Y walk order.
+    const std::int32_t* eb = plan_.edge_begin();
+    const PlanEdge* e = plan_.edges() + eb[u];
+    const PlanEdge* const end = plan_.edges() + eb[u + 1];
+    for (; e != end; ++e) {
       ++mesh_messages_;
-      const std::int32_t to_phys =
-          phys_[static_cast<std::size_t>(e.consumer)];
-      const std::int64_t cycles = fabric_->mesh_cycles(from_phys, to_phys);
-      if (mx() != nullptr) record_mesh_metrics(from_phys, to_phys, cycles);
+      if (mx() != nullptr) record_mesh_metrics(*e);
       Event ev;
-      ev.set(EvKind::Mesh, e.side);
-      ev.node = e.consumer;
+      ev.set(EvKind::Mesh, e->side);
+      ev.node = e->consumer;
       ev.prod = producer;
-      ev.aux = epoch_[static_cast<std::size_t>(e.consumer)];
-      ev.tick = now_ + k_ * cycles;
+      ev.aux = epoch_[static_cast<std::size_t>(e->consumer)];
+      ev.tick = now_ + e->delivery_ticks;
       schedule(ev, obs::PathCategory::MeshTransit, kParentCurrent,
-               from_phys, to_phys);
+               from_phys, e->to_phys);
     }
   }
 
@@ -681,25 +377,10 @@ class Run {
 
 
   // ---- telemetry (every site is a single null check when disabled) ----
-  void record_mesh_metrics(std::int32_t from_phys, std::int32_t to_phys,
-                           std::int64_t cycles) {
-    ++mx()->mesh_messages;
-    mx()->mesh_transit_cycles += static_cast<std::uint64_t>(cycles);
-    fabric_->mesh().for_each_route_link(
-        from_phys, to_phys,
-        [&](std::int32_t src, std::int32_t dx, std::int32_t dy) {
-          const obs::LinkDir dir = dx > 0   ? obs::LinkDir::East
-                                   : dx < 0 ? obs::LinkDir::West
-                                   : dy > 0 ? obs::LinkDir::North
-                                            : obs::LinkDir::South;
-          mx()->mesh_link(src, dir);
-        });
-  }
-
-  void record_mesh_metrics_plan(const PlanEdge& e) {
+  void record_mesh_metrics(const PlanEdge& e) {
     ++mx()->mesh_messages;
     mx()->mesh_transit_cycles += static_cast<std::uint64_t>(e.mesh_cycles);
-    const PlanRouteLink* link = plan_->route_links() + e.route_begin;
+    const PlanRouteLink* link = plan_.route_links() + e.route_begin;
     for (std::int32_t i = 0; i < e.route_count; ++i, ++link) {
       mx()->mesh_link(link->src_phys, static_cast<obs::LinkDir>(link->dir));
     }
@@ -1216,28 +897,22 @@ class Run {
     }
   }
 
-  const Placement* external_placement_ = nullptr;
-  const ExecPlan* plan_ = nullptr;
+  const ExecPlan& plan_;
   const MachineConfig& cfg_;
   const EngineOptions& opt_;
   const Method& m_;
-  const DataflowGraph* graph_;  // null on the plan path
   BranchPredictor& predictor_;
-  std::optional<Fabric> fabric_;  // legacy path only
   const std::int64_t k_;
   const std::int64_t hop_;
   const std::int32_t idus_;
-  const bool trace_;
   obs::MetricsRegistry* const mx_;  // null = telemetry disabled (no-op)
   obs::EventTracer* const tr_;
   obs::FlightRecorder* const fr_;   // null = no dependency-edge capture
   // Workspace-backed storage: all references point into the engine's
   // detail::EngineWorkspace and are re-initialized by execute().
-  detail::EngineWorkspace& ws_;
   std::vector<char>& node_exec_busy_;
   std::vector<std::vector<std::int32_t>>& pending_fire_;
 
-  Placement placement_;
   std::vector<NodeRt>& nodes_;
   // Struct-of-arrays hot lanes (same index space as nodes_).
   std::vector<std::uint8_t>& state_;
@@ -1247,8 +922,7 @@ class Run {
   std::vector<std::int64_t>& head_tick_;
   std::vector<std::int64_t>& tail_hold_;
   std::vector<char>& distinct_;
-  // Static per-node lanes: aliases into the ExecPlan arena (plan path)
-  // or the workspace's prepare_node() lanes (legacy path). Read-only
+  // Static per-node lanes: aliases into the ExecPlan arena, read-only
   // for the whole run.
   const std::uint8_t* group_ = nullptr;
   const std::uint8_t* op_ = nullptr;
@@ -1260,20 +934,11 @@ class Run {
   const std::int32_t* target_ = nullptr;
   const std::int32_t* operand_ = nullptr;
   const std::int32_t* exec_cost_ = nullptr;
-  // Scheduler stores (heap_ for Heap; buckets_/overflow_ for Calendar).
-  std::vector<Event>& heap_;
-  std::vector<std::vector<Event>>& buckets_;
-  std::vector<std::uint64_t>& cal_words_;
-  std::vector<Event>& overflow_;
+  detail::CalendarQueue& cal_;
   std::vector<Token>& flush_scratch_;
   std::vector<std::int32_t>& flush_edge_scratch_;
   std::vector<std::int32_t>& node_ready_edge_;
   std::int32_t max_phys_ = -1;
-  std::int64_t bucket_count_ = 0;
-  std::int64_t bucket_mask_ = 0;
-  std::int64_t cal_cur_ = 0;     // calendar's current tick cursor
-  std::int64_t live_events_ = 0; // undrained events (buckets + overflow)
-  std::int64_t seq_ = 0;
   std::int64_t now_ = 0;
   // Edge id of the event currently being dispatched (flight recorder
   // only) — the default parent for everything the handler schedules.
@@ -1290,21 +955,6 @@ class Run {
   std::int64_t acc_1plus_ = 0;
   std::int64_t acc_2plus_ = 0;
 };
-
-// Refreshes the workspace's branch-classification cache for `m`. The
-// classification depends only on the bytecode, so back-to-back runs of
-// the same method (the sweep's config × scenario inner loops) reuse it.
-// The plan path skips this entirely — classifications ride in the plan.
-void refresh_branch_kinds(detail::EngineWorkspace& ws, const Method& m) {
-  if (ws.branch_method == &m && ws.branch_code_size == m.code.size() &&
-      ws.branch_name == m.name) {
-    return;
-  }
-  ws.branch_kinds = classify_branches(m);
-  ws.branch_method = &m;
-  ws.branch_code_size = m.code.size();
-  ws.branch_name = m.name;
-}
 
 // The workspace plan cache: rebuild only when the method key changes or
 // an external placement disagrees with the cached plan's slot lane.
@@ -1334,33 +984,16 @@ const ExecPlan& plan_for(detail::EngineWorkspace& ws, const Method& m,
 }
 
 // Instrumentation dispatch: the sweep hot path (no telemetry attached)
-// runs the Run<false, kCal> instantiation with every hook compiled out.
+// runs the Run<false> instantiation with every hook compiled out.
 RunMetrics execute_run(const MachineConfig& cfg, const EngineOptions& opt,
-                       const Method& m, const DataflowGraph* graph,
-                       const Placement* placement, const ExecPlan* plan,
+                       const Method& m, const ExecPlan& plan,
                        BranchPredictor& predictor,
                        detail::EngineWorkspace& ws) {
-  const bool instrumented = opt.metrics != nullptr || opt.tracer != nullptr ||
-                            opt.flight != nullptr || opt.trace;
-  const bool calendar = opt.scheduler != SchedulerKind::Heap;
-  if (instrumented) {
-    if (calendar) {
-      return Run<true, true>(cfg, opt, m, graph, predictor, placement, plan,
-                             ws)
-          .execute();
-    }
-    return Run<true, false>(cfg, opt, m, graph, predictor, placement, plan,
-                            ws)
-        .execute();
+  if (opt.metrics != nullptr || opt.tracer != nullptr ||
+      opt.flight != nullptr) {
+    return Run<true>(cfg, opt, m, predictor, plan, ws).execute();
   }
-  if (calendar) {
-    return Run<false, true>(cfg, opt, m, graph, predictor, placement, plan,
-                            ws)
-        .execute();
-  }
-  return Run<false, false>(cfg, opt, m, graph, predictor, placement, plan,
-                           ws)
-      .execute();
+  return Run<false>(cfg, opt, m, predictor, plan, ws).execute();
 }
 
 }  // namespace
@@ -1368,11 +1001,7 @@ RunMetrics execute_run(const MachineConfig& cfg, const EngineOptions& opt,
 Engine::Engine(MachineConfig config, EngineOptions options)
     : config_(std::move(config)),
       options_(options),
-      ws_(std::make_unique<detail::EngineWorkspace>()) {
-  // Resolve Auto (env lookups) once here, never on the per-run hot path.
-  options_.scheduler = resolve_scheduler(options_.scheduler);
-  options_.plan = resolve_plan_mode(options_.plan);
-}
+      ws_(std::make_unique<detail::EngineWorkspace>()) {}
 
 Engine::Engine(Engine&&) noexcept = default;
 Engine& Engine::operator=(Engine&&) noexcept = default;
@@ -1380,33 +1009,20 @@ Engine::~Engine() = default;
 
 RunMetrics Engine::run(const Method& m, const DataflowGraph& graph,
                        BranchPredictor& predictor) {
-  if (options_.plan == PlanMode::On) {
-    const ExecPlan& plan = plan_for(*ws_, m, graph, nullptr, config_);
-    return execute_run(config_, options_, m, nullptr, nullptr, &plan,
-                       predictor, *ws_);
-  }
-  refresh_branch_kinds(*ws_, m);
-  return execute_run(config_, options_, m, &graph, nullptr, nullptr,
-                     predictor, *ws_);
+  const ExecPlan& plan = plan_for(*ws_, m, graph, nullptr, config_);
+  return execute_run(config_, options_, m, plan, predictor, *ws_);
 }
 
 RunMetrics Engine::run(const Method& m, const DataflowGraph& graph,
                        const fabric::Placement& placement,
                        BranchPredictor& predictor) {
-  if (options_.plan == PlanMode::On) {
-    const ExecPlan& plan = plan_for(*ws_, m, graph, &placement, config_);
-    return execute_run(config_, options_, m, nullptr, nullptr, &plan,
-                       predictor, *ws_);
-  }
-  refresh_branch_kinds(*ws_, m);
-  return execute_run(config_, options_, m, &graph, &placement, nullptr,
-                     predictor, *ws_);
+  const ExecPlan& plan = plan_for(*ws_, m, graph, &placement, config_);
+  return execute_run(config_, options_, m, plan, predictor, *ws_);
 }
 
 RunMetrics Engine::run(const Method& m, const ExecPlan& plan,
                        BranchPredictor& predictor) {
-  return execute_run(config_, options_, m, nullptr, nullptr, &plan,
-                     predictor, *ws_);
+  return execute_run(config_, options_, m, plan, predictor, *ws_);
 }
 
 }  // namespace javaflow::sim

@@ -7,6 +7,11 @@
 // memory/GPP service completions (Figure 25) are the event kinds. The
 // Baseline configuration collapses serial transit to zero ticks and all
 // mesh distances to one cycle.
+//
+// Every run executes a pre-lowered sim::ExecPlan (docs/PERF.md
+// "Execution plans"); the (graph[, placement]) overloads lower one
+// through a per-engine cache first. Events are ordered by one calendar
+// queue, shared with MultiEngine (sim/engine_internal.hpp).
 #pragma once
 
 #include <cstdint>
@@ -29,11 +34,11 @@ class FlightRecorder;
 namespace javaflow::sim {
 
 namespace detail {
-// Heap allocations (event-queue backing stores for both schedulers, the
-// struct-of-arrays hot node state plus the cold per-node runtime state
-// including operand buffers, cached branch classifications) that
-// persist across an Engine's run() calls so repeated runs reuse
-// capacity instead of re-allocating. Defined in engine.cpp.
+// Heap allocations (the calendar queue's buckets, the struct-of-arrays
+// hot node state plus the cold per-node runtime state including operand
+// buffers, the cached lowered plan) that persist across an Engine's
+// run() calls so repeated runs reuse capacity instead of re-allocating.
+// Defined in engine.cpp.
 struct EngineWorkspace;
 }  // namespace detail
 
@@ -86,19 +91,6 @@ struct RunMetrics {
 
 struct EngineOptions {
   std::int64_t max_ticks = 4'000'000;
-  bool trace = false;  // dump every event to stderr (debugging aid)
-  // Event-scheduler implementation (docs/PERF.md "Engine kernel"). Both
-  // kinds produce bit-identical results; Auto resolves via
-  // JAVAFLOW_SCHEDULER (default: the calendar queue) once at Engine
-  // construction. tests/test_scheduler.cpp asserts the equality.
-  SchedulerKind scheduler = SchedulerKind::Auto;
-  // Pre-lowered execution plans (docs/PERF.md "Execution plans"). On
-  // lowers each method to a sim::ExecPlan (cached in the workspace) and
-  // runs the plan-driven fast path; Off keeps the legacy per-run
-  // graph/placement walk. Bit-identical either way; Auto resolves via
-  // JAVAFLOW_PLAN (default On) once at Engine construction.
-  // tests/test_plan.cpp asserts the equality.
-  PlanMode plan = PlanMode::Auto;
   // Failure injection: the node at this linear address raises an
   // arithmetic exception on its `inject_exception_fire`-th firing
   // (1-based). The node halts, an EXCEPTION_TOKEN travels to the GPP,
@@ -136,13 +128,16 @@ class Engine {
   // Runs one method to completion (or timeout). The dataflow graph must
   // have been built for `m` (it is configuration-independent, so callers
   // build it once and reuse it across configurations and predictors).
+  // Lowers (m, graph) to a plan on a fresh-fabric placement; the plan is
+  // cached, so back-to-back runs of one method lower once.
   RunMetrics run(const bytecode::Method& m,
                  const fabric::DataflowGraph& graph,
                  BranchPredictor& predictor);
 
   // Run with an externally computed placement — used when several
   // methods are co-resident and the fabric manager owns slot assignment
-  // (§6.2 "Management and Cleanup").
+  // (§6.2 "Management and Cleanup"). Lowers through the same cache,
+  // which also keys on the placement's slot lane.
   RunMetrics run(const bytecode::Method& m,
                  const fabric::DataflowGraph& graph,
                  const fabric::Placement& placement,
@@ -152,8 +147,7 @@ class Engine {
   // plan must have been built for `m` under this engine's MachineConfig;
   // it embeds the graph, placement, and timing model, so neither is
   // consulted. The plan is read-only here — the parallel sweep shares
-  // one plan across worker lanes. Always takes the plan path regardless
-  // of EngineOptions::plan (the caller already opted in by lowering).
+  // one plan across worker lanes.
   RunMetrics run(const bytecode::Method& m, const ExecPlan& plan,
                  BranchPredictor& predictor);
 

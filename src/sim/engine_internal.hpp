@@ -1,11 +1,16 @@
 // Shared internals of the event-driven execution core: the token/event
-// records, per-node cold state, and calendar-queue constants used by
-// both the single-method Engine (sim/engine.cpp) and the multi-tenant
-// MultiEngine (sim/multi_engine.cpp). Not installed API — everything
-// here may change shape between commits; include only from sim/*.cpp.
+// records, per-node cold state, and the calendar queue that orders
+// events for both the single-method Engine (sim/engine.cpp) and the
+// multi-tenant MultiEngine (sim/multi_engine.cpp). Not installed API —
+// everything here may change shape between commits; include only from
+// sim/*.cpp and the scheduler unit test.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -42,9 +47,8 @@ inline constexpr std::uint8_t kInService = 0x8;
 inline constexpr std::uint8_t kWaitTailFlush = 0x10;
 
 // Cold per-node runtime state (wraps the Figure 13 resources). All
-// static classification lives in read-only lanes — fed by the ExecPlan
-// on the plan path, by prepare_node() on the legacy path — so this
-// struct carries only mutable per-iteration token state.
+// static classification lives in the ExecPlan's read-only lanes, so
+// this struct carries only mutable per-iteration token state.
 struct NodeRt {
   bool reg_held = false;        // LocalRead/LocalInc captured its token
   Token held_reg{};
@@ -127,8 +131,8 @@ static_assert(sizeof(Event) == 32, "Event should stay two cache quads");
 
 // Min-heap comparator over (tick, seq). (tick, seq) is a strict total
 // order — seq is unique — so the pop order is deterministic regardless
-// of the heap's internal layout. The calendar queue reproduces exactly
-// this order (docs/PERF.md "Engine kernel" has the argument).
+// of the heap's internal layout. The calendar's overflow spill is a heap
+// under this comparator.
 struct EventAfter {
   bool operator()(const Event& a, const Event& b) const {
     return std::tie(a.tick, a.seq) > std::tie(b.tick, b.seq);
@@ -140,5 +144,176 @@ inline constexpr std::int64_t kMaxExecMeshCycles = 10;
 // Calendar-ring ceiling: beyond this, long delays spill to the overflow
 // heap rather than growing the bucket array without bound.
 inline constexpr std::int64_t kMaxBuckets = 4096;
+
+// The event queue of both kernels: a ring of one-tick buckets with an
+// occupancy bitmap, plus an overflow heap for events beyond the ring.
+// It hands events out in ascending (tick, seq), where seq is stamped by
+// push() in call order:
+//
+//   * every bucket in the window [cursor, cursor + buckets) holds
+//     exactly one tick, so a bucket's events share a tick and sit in
+//     push (= seq) order;
+//   * a spilled event migrates into its bucket as soon as its tick
+//     enters the window, before the owner drains or schedules at that
+//     tick, so it precedes every later direct insertion there;
+//   * an event pushed for the cursor's own tick during a drain (the
+//     collapsed Baseline's zero-delay serial forward) lands behind the
+//     drain point with a larger seq.
+//
+// The owner drives the cursor: Engine drains a whole tick per step
+// (Run::run_calendar), MultiEngine one event at a time so it can pause
+// between any two events (MultiEngine::Impl::advance). Storage grows
+// monotonically, so a reused queue stops allocating after a few runs.
+class CalendarQueue {
+ public:
+  // Sizes the ring to `buckets` (a power of two, >= 64), drops every
+  // pending event, and rewinds the cursor and the seq stamp to 0. Only
+  // buckets whose occupancy bit is set are cleared, not the whole ring.
+  void reset(std::int64_t buckets) {
+    if (buckets_.size() < static_cast<std::size_t>(buckets)) {
+      buckets_.resize(static_cast<std::size_t>(buckets));
+    }
+    if (words_.size() < buckets_.size() >> 6) {
+      words_.resize(buckets_.size() >> 6, 0);
+    }
+    clear();
+    count_ = buckets;
+    mask_ = buckets - 1;
+    cur_ = 0;
+    seq_ = 0;
+  }
+
+  // Drops every pending event; the cursor and seq stamp stay put.
+  void clear() {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      std::uint64_t bits = words_[w];
+      while (bits != 0) {
+        const int bit = std::countr_zero(bits);
+        bits &= bits - 1;
+        buckets_[(w << 6) | static_cast<std::size_t>(bit)].clear();
+      }
+      words_[w] = 0;
+    }
+    overflow_.clear();
+    live_ = 0;
+  }
+
+  // Stamps `ev.seq` and enqueues it. `ev.tick` must not precede the
+  // cursor. Force-inlined: it sits on every schedule site of the kernel.
+  [[gnu::always_inline]] inline void push(Event& ev) {
+    ev.seq = seq_++;
+    ++live_;
+    if (ev.tick < cur_ + count_) [[likely]] {
+      insert(ev);
+    } else {
+      spill(ev);
+    }
+  }
+
+  // Pulls every spilled event whose tick entered the window into its
+  // bucket. Owners call it before draining or scheduling at a new tick.
+  void migrate_overflow() {
+    while (!overflow_.empty() && overflow_.front().tick < cur_ + count_) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
+      insert(overflow_.back());
+      overflow_.pop_back();
+    }
+  }
+
+  // Tick of the next non-empty bucket strictly after the cursor, found
+  // by a word-parallel circular scan of the occupancy bitmap (the
+  // window holds at most one tick per bucket, so a set bit maps to
+  // exactly one pending tick). INT64_MAX when every bucket is empty.
+  std::int64_t next_bucket_tick() const {
+    const auto mask = static_cast<std::uint64_t>(mask_);
+    const std::uint64_t start = (static_cast<std::uint64_t>(cur_) + 1) & mask;
+    const auto nwords = static_cast<std::size_t>(count_ >> 6);
+    const auto w0 = static_cast<std::size_t>(start >> 6);
+    std::uint64_t bits = words_[w0] & (~std::uint64_t{0} << (start & 63));
+    if (bits != 0) {
+      const std::uint64_t j =
+          (static_cast<std::uint64_t>(w0) << 6) +
+          static_cast<std::uint64_t>(std::countr_zero(bits));
+      return cur_ + 1 + static_cast<std::int64_t>((j - start) & mask);
+    }
+    for (std::size_t s = 1; s <= nwords; ++s) {
+      const std::size_t w = (w0 + s) % nwords;
+      bits = words_[w];
+      if (w == w0) {
+        const std::uint64_t low = start & 63;
+        bits &= low != 0 ? (std::uint64_t{1} << low) - 1 : std::uint64_t{0};
+      }
+      if (bits != 0) {
+        const std::uint64_t j =
+            (static_cast<std::uint64_t>(w) << 6) +
+            static_cast<std::uint64_t>(std::countr_zero(bits));
+        return cur_ + 1 + static_cast<std::int64_t>((j - start) & mask);
+      }
+    }
+    return std::numeric_limits<std::int64_t>::max();
+  }
+
+  // The earliest pending tick after the cursor: the next occupied
+  // bucket or the overflow front, whichever comes first — the cursor
+  // jumps there directly instead of walking empty buckets.
+  std::int64_t next_pending_tick() const {
+    const std::int64_t next = next_bucket_tick();
+    return !overflow_.empty() && overflow_.front().tick < next
+               ? overflow_.front().tick
+               : next;
+  }
+
+  // Moves the cursor to `tick` and migrates what entered the window.
+  void advance_to(std::int64_t tick) {
+    cur_ = tick;
+    migrate_overflow();
+  }
+
+  // Moves the cursor without migrating (the owner migrates before its
+  // next drain).
+  void set_cursor(std::int64_t tick) { cur_ = tick; }
+
+  // The cursor tick's bucket. Safe to hold across push(): the bucket
+  // array never resizes between reset() calls.
+  std::vector<Event>& current() {
+    return buckets_[static_cast<std::size_t>(cur_ & mask_)];
+  }
+
+  // Empties the cursor tick's bucket once its events are dispatched.
+  void clear_current() {
+    const auto bi = static_cast<std::size_t>(cur_ & mask_);
+    buckets_[bi].clear();
+    words_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
+  }
+
+  // Records that `n` events left the queue through the owner's drain.
+  void consumed(std::int64_t n) { live_ -= n; }
+
+  std::int64_t cursor() const noexcept { return cur_; }
+  // Events pushed and not yet consumed (buckets + overflow).
+  std::int64_t live() const noexcept { return live_; }
+
+ private:
+  [[gnu::always_inline]] inline void insert(const Event& ev) {
+    const auto bi = static_cast<std::size_t>(ev.tick & mask_);
+    buckets_[bi].push_back(ev);
+    words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
+  }
+
+  // Kept out of line so push() stays small enough to inline everywhere.
+  [[gnu::noinline]] void spill(const Event& ev) {
+    overflow_.push_back(ev);
+    std::push_heap(overflow_.begin(), overflow_.end(), EventAfter{});
+  }
+
+  std::vector<std::vector<Event>> buckets_;
+  std::vector<std::uint64_t> words_;  // one occupancy bit per bucket
+  std::vector<Event> overflow_;       // min-heap under EventAfter
+  std::int64_t count_ = 0;
+  std::int64_t mask_ = 0;
+  std::int64_t cur_ = 0;
+  std::int64_t live_ = 0;
+  std::int64_t seq_ = 0;
+};
 
 }  // namespace javaflow::sim::detail

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <deque>
-#include <limits>
 
 #include "net/message.hpp"
 #include "obs/event_tracer.hpp"
@@ -16,7 +14,6 @@ namespace {
 
 using bytecode::Group;
 using detail::Event;
-using detail::EventAfter;
 using detail::EvKind;
 using detail::kExecuting;
 using detail::kFired;
@@ -28,9 +25,9 @@ using detail::Token;
 using net::Command;
 
 // Fixed calendar ring: the serving workload spans arbitrary wall ticks,
-// so the ring is sized once at the workspace ceiling instead of per
-// method; long gaps spill to the overflow heap exactly as in the
-// single-method engine.
+// so the ring is sized once at the ceiling instead of per method; long
+// gaps spill to the overflow heap exactly as in the single-method
+// engine.
 constexpr std::int64_t kRing = detail::kMaxBuckets;
 
 // `from_node` sentinel for send_serial: the owning residency's anchor
@@ -40,7 +37,7 @@ constexpr std::int32_t kFromAnchor = -1;
 }  // namespace
 
 // The whole multi-tenant run state. Mirrors the single engine's
-// Run<kInstr, kCal=true> (sim/engine.cpp) with three structural
+// Run<kInstr> (sim/engine.cpp) with three structural
 // changes, all driven by the Event::res lane:
 //
 //   * node lanes are global: residency r owns [r.base, r.base+r.count)
@@ -56,7 +53,8 @@ constexpr std::int32_t kFromAnchor = -1;
 //     cross-residency token queues behind the release and the wait is
 //     charged to its residency.
 //
-// The calendar drains one event at a time (instead of whole ticks) so
+// Both kernels order events with the same detail::CalendarQueue. This
+// one drains it one event at a time (instead of whole ticks) so
 // advance() can pause at a request arrival or return mid-tick when a
 // residency completes; the (tick, seq) order is identical.
 struct MultiEngine::Impl {
@@ -136,15 +134,9 @@ struct MultiEngine::Impl {
   std::array<Occupancy, 4> ring{};
 
   // ---- calendar (persistent across advance() calls) ----
-  std::vector<std::vector<Event>> buckets;
-  std::vector<std::uint64_t> cal_words;
-  std::vector<Event> overflow;
+  detail::CalendarQueue cal;
+  std::size_t bucket_pos = 0;  // dispatched prefix of the cursor's bucket
   std::vector<Token> flush_scratch;
-  std::int64_t bucket_mask = 0;
-  std::int64_t cal_cur = 0;
-  std::size_t bucket_pos = 0;  // dispatched prefix of the cal_cur bucket
-  std::int64_t live_events = 0;
-  std::int64_t seq = 0;
   std::int64_t now = 0;
 
   // ---- fabric-level accounting ----
@@ -164,9 +156,7 @@ struct MultiEngine::Impl {
         hop(cfg.collapsed() ? 0 : 1),
         idus(std::max(cfg.idus_per_node, 1)),
         collapsed(cfg.collapsed()) {
-    buckets.resize(static_cast<std::size_t>(kRing));
-    cal_words.resize(static_cast<std::size_t>(kRing >> 6), 0);
-    bucket_mask = kRing - 1;
+    cal.reset(kRing);
   }
 
   obs::MetricsRegistry* fab_mx() const { return opt.metrics; }
@@ -218,7 +208,7 @@ struct MultiEngine::Impl {
     r.count = plan.node_count();
     r.phys_delta = phys_delta;
     r.slot_delta = phys_delta * idus;
-    r.inject_tick = std::max(start_tick, cal_cur);
+    r.inject_tick = std::max(start_tick, cal.cursor());
     r.last_change = r.inject_tick;
 
     const auto nn = static_cast<std::size_t>(r.base + r.count);
@@ -266,62 +256,6 @@ struct MultiEngine::Impl {
                 spacing * idx++);
   }
 
-  // ---- calendar ----
-  [[gnu::always_inline]] inline void bucket_insert(const Event& ev) {
-    const auto bi = static_cast<std::size_t>(ev.tick & bucket_mask);
-    buckets[bi].push_back(ev);
-    cal_words[bi >> 6] |= std::uint64_t{1} << (bi & 63);
-  }
-
-  void schedule(Event ev) {
-    ev.seq = seq++;
-    ++live_events;
-    if (ev.tick < cal_cur + kRing) [[likely]] {
-      bucket_insert(ev);
-    } else {
-      overflow.push_back(ev);
-      std::push_heap(overflow.begin(), overflow.end(), EventAfter{});
-    }
-  }
-
-  void migrate_overflow() {
-    while (!overflow.empty() && overflow.front().tick < cal_cur + kRing) {
-      std::pop_heap(overflow.begin(), overflow.end(), EventAfter{});
-      bucket_insert(overflow.back());
-      overflow.pop_back();
-    }
-  }
-
-  std::int64_t next_bucket_tick() const {
-    const auto mask = static_cast<std::uint64_t>(bucket_mask);
-    const std::uint64_t start =
-        (static_cast<std::uint64_t>(cal_cur) + 1) & mask;
-    const auto nwords = static_cast<std::size_t>(kRing >> 6);
-    const auto w0 = static_cast<std::size_t>(start >> 6);
-    std::uint64_t bits = cal_words[w0] & (~std::uint64_t{0} << (start & 63));
-    if (bits != 0) {
-      const std::uint64_t j =
-          (static_cast<std::uint64_t>(w0) << 6) +
-          static_cast<std::uint64_t>(std::countr_zero(bits));
-      return cal_cur + 1 + static_cast<std::int64_t>((j - start) & mask);
-    }
-    for (std::size_t s = 1; s <= nwords; ++s) {
-      const std::size_t w = (w0 + s) % nwords;
-      bits = cal_words[w];
-      if (w == w0) {
-        const std::uint64_t low = start & 63;
-        bits &= low != 0 ? (std::uint64_t{1} << low) - 1 : std::uint64_t{0};
-      }
-      if (bits != 0) {
-        const std::uint64_t j =
-            (static_cast<std::uint64_t>(w) << 6) +
-            static_cast<std::uint64_t>(std::countr_zero(bits));
-        return cal_cur + 1 + static_cast<std::int64_t>((j - start) & mask);
-      }
-    }
-    return std::numeric_limits<std::int64_t>::max();
-  }
-
   std::optional<ResidentId> advance(std::int64_t until) {
     while (true) {
       if (!completed_queue.empty()) {
@@ -329,52 +263,40 @@ struct MultiEngine::Impl {
         completed_queue.pop_front();
         return id;
       }
-      if (live_events == 0) {
+      if (cal.live() == 0) {
         // Fully drained: every scheduled event has been dispatched, so
         // whatever sits in the cursor's bucket is a consumed prefix.
         // Clear it and rewind bucket_pos before the cursor jumps —
         // otherwise an admission at the idle tick inserts its bundle
         // below the stale cursor and the events are never dispatched.
-        const auto bix = static_cast<std::size_t>(cal_cur & bucket_mask);
-        if (!buckets[bix].empty()) {
-          buckets[bix].clear();
-          cal_words[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
-        }
+        cal.clear_current();
         bucket_pos = 0;
-        if (until != kNoLimit && until > cal_cur) cal_cur = until;
+        if (until != kNoLimit && until > cal.cursor()) cal.set_cursor(until);
         return std::nullopt;
       }
-      if (cal_cur >= until) return std::nullopt;
-      migrate_overflow();
-      auto bix = static_cast<std::size_t>(cal_cur & bucket_mask);
-      std::vector<Event>* bucket = &buckets[bix];
-      if (bucket_pos >= bucket->size()) {
+      if (cal.cursor() >= until) return std::nullopt;
+      cal.migrate_overflow();
+      const std::vector<Event>& bucket = cal.current();
+      if (bucket_pos >= bucket.size()) {
         // Tick drained: clear the bucket and jump to the next pending
-        // tick (occupancy-bitmap scan vs. the overflow front).
-        if (!bucket->empty()) {
-          bucket->clear();
-          cal_words[bix >> 6] &= ~(std::uint64_t{1} << (bix & 63));
-        }
+        // tick.
+        cal.clear_current();
         bucket_pos = 0;
-        std::int64_t next = next_bucket_tick();
-        if (!overflow.empty() && overflow.front().tick < next) {
-          next = overflow.front().tick;
-        }
+        const std::int64_t next = cal.next_pending_tick();
         if (next >= until) {
-          cal_cur = until;
+          cal.set_cursor(until);
           return std::nullopt;
         }
         if (next > opt.max_ticks) {
           timeout_all(next);
           continue;
         }
-        cal_cur = next;
-        migrate_overflow();
+        cal.advance_to(next);
         continue;
       }
-      const Event ev = (*bucket)[bucket_pos++];
-      --live_events;
-      now = cal_cur;
+      const Event ev = bucket[bucket_pos++];
+      cal.consumed(1);
+      now = cal.cursor();
       dispatch(ev);
     }
   }
@@ -508,7 +430,7 @@ struct MultiEngine::Impl {
     ev.cmd = tok.cmd;
     ev.aux = tok.reg;
     ev.tick = arrive + extra;
-    schedule(ev);
+    cal.push(ev);
   }
 
   static void note_serial(obs::MetricsRegistry& mx, std::int64_t delay,
@@ -540,7 +462,7 @@ struct MultiEngine::Impl {
       ev.prod = g;
       ev.aux = epoch[static_cast<std::size_t>(consumer_g)];
       ev.tick = mesh_arrival(r, res, *e);
-      schedule(ev);
+      cal.push(ev);
     }
   }
 
@@ -737,7 +659,7 @@ struct MultiEngine::Impl {
     ev.node = g;
     ev.res = res;
     ev.tick = now + cost;
-    schedule(ev);
+    cal.push(ev);
   }
 
   void note_fire(obs::MetricsRegistry& mx, std::int32_t pn, std::uint8_t opb,
@@ -851,7 +773,7 @@ struct MultiEngine::Impl {
       ev.res = res;
       ev.tick = ring_done(r, res, net::RingService::GppService, svc_ticks,
                           /*blocking=*/true);
-      schedule(ev);
+      cal.push(ev);
       return;
     }
     if (grp == Group::MemRead) {
@@ -868,7 +790,7 @@ struct MultiEngine::Impl {
       ev.res = res;
       ev.tick = ring_done(r, res, net::RingService::MemoryRead, svc_ticks,
                           /*blocking=*/true);
-      schedule(ev);
+      cal.push(ev);
       return;
     }
     if (grp == Group::MemWrite) {
@@ -1056,7 +978,7 @@ struct MultiEngine::Impl {
 
   void timeout_all(std::int64_t over_tick) {
     now = over_tick;
-    cal_cur = over_tick;
+    cal.set_cursor(over_tick);
     for (std::size_t i = 0; i < residents.size(); ++i) {
       ResidentRt& r = residents[i];
       if (r.done) continue;
@@ -1065,17 +987,7 @@ struct MultiEngine::Impl {
       completed_queue.push_back(static_cast<ResidentId>(i));
     }
     // Drop every undrained event: all owners are finished.
-    for (std::size_t w = 0; w < cal_words.size(); ++w) {
-      std::uint64_t bits = cal_words[w];
-      while (bits != 0) {
-        const int bit = std::countr_zero(bits);
-        bits &= bits - 1;
-        buckets[(w << 6) | static_cast<std::size_t>(bit)].clear();
-      }
-      cal_words[w] = 0;
-    }
-    overflow.clear();
-    live_events = 0;
+    cal.clear();
     bucket_pos = 0;
   }
 
@@ -1122,9 +1034,9 @@ std::optional<ResidentId> MultiEngine::advance(std::int64_t until) {
   return impl_->advance(until);
 }
 
-bool MultiEngine::idle() const noexcept { return impl_->live_events == 0; }
+bool MultiEngine::idle() const noexcept { return impl_->cal.live() == 0; }
 
-std::int64_t MultiEngine::now() const noexcept { return impl_->cal_cur; }
+std::int64_t MultiEngine::now() const noexcept { return impl_->cal.cursor(); }
 
 std::size_t MultiEngine::resident_count() const noexcept {
   return impl_->residents.size();

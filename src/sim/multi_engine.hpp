@@ -15,7 +15,7 @@
 //
 // Plans stay shareable between residencies of one method: a residency
 // is (plan, phys_delta) where the delta is a whole-row physical shift
-// (multiples of idus_per_node * mesh_width slots). Row shifts preserve
+// (multiples of idus_per_node * mesh-width slots). Row shifts preserve
 // serial hop counts and — because the serpentine layout mirrors x on
 // odd rows for *both* endpoints of any route — Manhattan mesh
 // distances, so one pre-lowered ExecPlan prices every aligned residency
@@ -29,8 +29,9 @@
 //
 // Single-resident parity (tests/test_serve.cpp): one residency at
 // phys_delta 0 reproduces Engine::run's RunMetrics field for field —
-// the event loop, handlers, and timing model are the same code shapes
-// over the same shared detail::Event record (sim/engine_internal.hpp).
+// the handlers and timing model are the same code shapes over the same
+// shared detail::Event record, and both kernels order events with the
+// one detail::CalendarQueue (sim/engine_internal.hpp).
 #pragma once
 
 #include <cstdint>

@@ -18,19 +18,16 @@
 //   * the static branch classifications (sim::classify_branches), so a
 //     plan-driven run never re-derives them.
 //
-// A plan is read-only after build: the parallel sweep builds each plan
-// once in its precompute phase and shares it across worker lanes and
-// both branch scenarios. The plan-driven engine path is bit-identical
-// to the legacy graph walk in RunMetrics, traces, and attribution
-// (tests/test_plan.cpp), so JAVAFLOW_PLAN=off exists for regression
-// triage, not semantics.
+// The plan is the engine's only input format: Engine::run lowers any
+// (graph, placement) it is handed into one before executing. A plan is
+// read-only after build: the parallel sweep builds each plan once in
+// its precompute phase and shares it across worker lanes and both
+// branch scenarios.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "bytecode/method.hpp"
@@ -46,24 +43,6 @@ namespace javaflow::sim {
 // classification). Folded into cache::record_fingerprint() so cached
 // sweep records produced under older lowering semantics invalidate.
 inline constexpr std::uint32_t kPlanFingerprint = 1;
-
-// Whether Engine::run lowers methods to ExecPlans and takes the
-// plan-driven fast path (docs/PERF.md "Execution plans"). Both settings
-// produce bit-identical RunMetrics, traces, and attribution.
-//   Auto — resolve via JAVAFLOW_PLAN ("on"/"off"), default On.
-//   On   — lower and run plan-driven.
-//   Off  — the legacy per-run graph/placement walk.
-enum class PlanMode : std::uint8_t { Auto, On, Off };
-
-std::string_view plan_mode_name(PlanMode m) noexcept;
-
-// Parses "on" / "off" (also accepts "auto"); nullopt otherwise.
-std::optional<PlanMode> plan_mode_from_name(std::string_view name) noexcept;
-
-// Maps a requested mode to a concrete one: On/Off pass through; Auto
-// reads JAVAFLOW_PLAN (stderr warning for unknown values) and falls
-// back to On when unset. Engines resolve once at construction.
-PlanMode resolve_plan_mode(PlanMode requested) noexcept;
 
 // One forward dataflow arc, producer-major (CSR order follows the
 // graph's consumers_of lists with back edges dropped, so the engine's
@@ -94,7 +73,7 @@ struct PlanRouteLink {
   std::uint8_t dir = 0;
 };
 
-// Per-node classification flags (the engine's prepare_node() results).
+// Per-node classification flags, read by the engine's dispatch.
 inline constexpr std::uint8_t kPlanBuffers = 0x1;       // buffers_tokens
 inline constexpr std::uint8_t kPlanOrdered = 0x2;       // ordered storage
 inline constexpr std::uint8_t kPlanBackwardGoto = 0x4;  // goto, target<linear
@@ -121,7 +100,6 @@ class ExecPlan {
   std::int64_t serial_per_mesh() const noexcept { return k_; }
   std::int64_t hop_ticks() const noexcept { return hop_; }
   std::int32_t idus_per_node() const noexcept { return idus_; }
-  std::int32_t mesh_width() const noexcept { return width_; }
   bool collapsed() const noexcept { return collapsed_; }
   std::int32_t max_locals() const noexcept { return max_locals_; }
 

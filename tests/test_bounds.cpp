@@ -95,7 +95,9 @@ CellResult run_cell(const Built& b, const bytecode::ConstantPool& pool,
   const fabric::Fabric f(config.fabric_options());
   const fabric::Placement placement = fabric::load_method(f, b.method);
   EXPECT_TRUE(placement.fits) << config.name;
-  r.bounds = compute_bounds(b.method, b.graph, f, placement, config);
+  sim::ExecPlanBuilder builder;
+  r.bounds = compute_bounds(
+      b.method, builder.build(b.method, b.graph, &placement, config));
   sim::EngineOptions options;
   options.metrics = &r.registry;
   sim::Engine engine(config, options);
@@ -171,8 +173,9 @@ TEST(BoundsResources, TinyCapacityTriggersE008) {
   const sim::MachineConfig config = sim::config_by_name("Compact2");
   const fabric::Fabric f(config.fabric_options());
   const fabric::Placement placement = fabric::load_method(f, b.method);
-  const MethodBounds bounds =
-      compute_bounds(b.method, b.graph, f, placement, config);
+  sim::ExecPlanBuilder builder;
+  const MethodBounds bounds = compute_bounds(
+      b.method, builder.build(b.method, b.graph, &placement, config));
 
   LintOptions options;
   options.node_buffer_capacity = 1;  // iadd provably needs 2 operands
@@ -209,8 +212,9 @@ TEST(BoundsResources, MergeFanInAboveCapacityWarnsW103) {
   const sim::MachineConfig config = sim::config_by_name("Compact2");
   const fabric::Fabric f(config.fabric_options());
   const fabric::Placement placement = fabric::load_method(f, b.method);
-  const MethodBounds bounds =
-      compute_bounds(b.method, b.graph, f, placement, config);
+  sim::ExecPlanBuilder builder;
+  const MethodBounds bounds = compute_bounds(
+      b.method, builder.build(b.method, b.graph, &placement, config));
   ASSERT_GT(bounds.operand_hi.size(), 5u);
   ASSERT_GE(bounds.operand_hi[5], 2);  // ireturn@5 has two producers
 

@@ -18,6 +18,7 @@
 #include "cache/record.hpp"
 #include "cache/store.hpp"
 #include "sim/config.hpp"
+#include "sim/engine.hpp"
 #include "workloads/corpus.hpp"
 
 namespace javaflow {
@@ -114,6 +115,20 @@ TEST(CacheKey, CellKeyCoversEveryInput) {
             cache::cell_key(body, pool, cfg, eng,
                             sim::BranchPredictor::Scenario::BP1,
                             cache::kEngineFingerprint + 1));
+}
+
+// Cache keys written before the engine lost its selectable scheduler
+// must still hit: the engine-options digest is pinned to the value the
+// "calendar" scheduler was keyed under when there was a choice.
+TEST(CacheKey, EngineOptionsDigestIsPinned) {
+  sim::EngineOptions options;
+  EXPECT_EQ(cache::to_hex(cache::hash_engine_options(options)),
+            "88e5d7211ebca45f85e387605cabebaa");
+  options.max_ticks = 120;
+  options.inject_exception_at = 3;
+  options.inject_exception_fire = 2;
+  EXPECT_EQ(cache::to_hex(cache::hash_engine_options(options)),
+            "09b8eb3890206a71ab581c70046b6e58");
 }
 
 // ---- record format ----

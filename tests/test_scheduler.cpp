@@ -1,22 +1,32 @@
-// Heap vs calendar scheduler equality (docs/PERF.md "Engine kernel").
+// The kernel's event order (docs/PERF.md "Engine kernel").
 //
-// The calendar queue must reproduce the binary heap's strict (tick, seq)
-// event order exactly, so every RunMetrics field and every trace event
-// is bit-identical between the two schedulers — across the full Table 15
-// config matrix, both branch scenarios, the overflow-spill path (events
-// scheduled beyond the bucket horizon), and the max_ticks abort path.
+// detail::CalendarQueue orders events for both Engine and MultiEngine.
+// Its contract is the strict (tick, seq) order a binary heap gives, so
+// the oracle here is a test-local std::priority_queue fed the same
+// seeded event stream — including ticks beyond the ring (the overflow
+// spill) and same-tick pushes made mid-drain (the collapsed Baseline's
+// zero-delay serial forward) — under both drain protocols the kernels
+// use. The engine-level tests pin the RunMetrics of the overflow-spill
+// and max_ticks abort paths to the values the heap and calendar
+// schedulers agreed on when both existed, and check that a run aborted
+// with events still queued leaves nothing behind for the engine's next
+// run.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
+#include <queue>
+#include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "analysis/figure_of_merit.hpp"
 #include "bytecode/assembler.hpp"
+#include "cache/hash.hpp"
 #include "fabric/dataflow_graph.hpp"
 #include "obs/event_tracer.hpp"
 #include "sim/engine.hpp"
-#include "workloads/corpus.hpp"
+#include "sim/engine_internal.hpp"
 
 namespace javaflow {
 namespace {
@@ -25,80 +35,158 @@ using bytecode::Assembler;
 using bytecode::Op;
 using bytecode::Program;
 using bytecode::ValueType;
+using sim::detail::CalendarQueue;
+using sim::detail::Event;
+using sim::detail::EventAfter;
 
-// ---- name / env resolution ----
+// ---- queue oracle ----
 
-TEST(SchedulerConfig, NamesRoundTrip) {
-  using sim::SchedulerKind;
-  EXPECT_EQ(sim::scheduler_name(SchedulerKind::Heap), "heap");
-  EXPECT_EQ(sim::scheduler_name(SchedulerKind::Calendar), "calendar");
-  EXPECT_EQ(sim::scheduler_name(SchedulerKind::Auto), "auto");
-  EXPECT_EQ(sim::scheduler_from_name("heap"), SchedulerKind::Heap);
-  EXPECT_EQ(sim::scheduler_from_name("calendar"), SchedulerKind::Calendar);
-  EXPECT_EQ(sim::scheduler_from_name("auto"), SchedulerKind::Auto);
-  EXPECT_FALSE(sim::scheduler_from_name("fifo").has_value());
-  EXPECT_FALSE(sim::scheduler_from_name("").has_value());
-}
+// Pushes the same events into the calendar and the reference heap and
+// checks every pop against the heap's top. Each dispatched event may
+// schedule follow-ups: zero-delay (same tick, behind the drain point),
+// short in-ring delays, and delays far past the ring (overflow spill).
+class Oracle {
+ public:
+  explicit Oracle(std::uint64_t seed) : rng_(seed) {}
 
-TEST(SchedulerConfig, ResolveReadsEnvironmentWithCalendarDefault) {
-  using sim::SchedulerKind;
-  // Explicit kinds pass through untouched, whatever the env says.
-  ASSERT_EQ(setenv("JAVAFLOW_SCHEDULER", "heap", 1), 0);
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::Calendar),
-            SchedulerKind::Calendar);
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::Heap),
-            SchedulerKind::Heap);
-  // Auto follows the env...
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::Auto),
-            SchedulerKind::Heap);
-  ASSERT_EQ(setenv("JAVAFLOW_SCHEDULER", "calendar", 1), 0);
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::Auto),
-            SchedulerKind::Calendar);
-  // ...warns-and-defaults on garbage, and defaults when unset.
-  ASSERT_EQ(setenv("JAVAFLOW_SCHEDULER", "bogus", 1), 0);
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::Auto),
-            SchedulerKind::Calendar);
-  ASSERT_EQ(unsetenv("JAVAFLOW_SCHEDULER"), 0);
-  EXPECT_EQ(sim::resolve_scheduler(SchedulerKind::Auto),
-            SchedulerKind::Calendar);
-}
-
-// ---- full-corpus golden equality ----
-
-analysis::Sweep scheduler_sweep(sim::SchedulerKind kind) {
-  static const workloads::Corpus corpus = workloads::make_corpus({});
-  std::vector<const bytecode::Method*> methods;
-  for (const bytecode::Method& m : corpus.program.methods) {
-    methods.push_back(&m);
+  void push(std::int64_t tick) {
+    Event ev;
+    ev.tick = tick;
+    ev.node = static_cast<std::int32_t>(pushed_++);
+    cal.push(ev);
+    ref_.push(ev);
   }
-  std::vector<std::string> hot;
-  for (std::size_t i = 0; i < corpus.kernel_methods; ++i) {
-    hot.push_back(corpus.program.methods[i].name);
+
+  // A burst of events at random ticks from `base`, some beyond the ring.
+  void seed_wave(std::int64_t base, int n) {
+    for (int i = 0; i < n; ++i) push(base + delay());
   }
-  analysis::SweepOptions options;
-  options.stride = 32;  // the CI smoke stride: a real corpus slice
-  options.engine.scheduler = kind;
-  return analysis::run_sweep(methods, corpus.program.pool, hot, options);
+
+  // Checks one popped event against the heap and schedules follow-ups.
+  void dispatch(const Event& ev, std::int64_t now) {
+    ASSERT_FALSE(ref_.empty());
+    const Event want = ref_.top();
+    ref_.pop();
+    ASSERT_EQ(ev.tick, now);
+    ASSERT_EQ(ev.tick, want.tick) << "pop " << popped_;
+    ASSERT_EQ(ev.seq, want.seq) << "pop " << popped_;
+    ASSERT_EQ(ev.node, want.node) << "pop " << popped_;
+    ++popped_;
+    if (pushed_ >= kBudget) return;
+    const int followups = static_cast<int>(rng_() % 4);
+    for (int i = 0; i < followups; ++i) push(now + delay());
+  }
+
+  bool done() const { return ref_.empty(); }
+  std::int64_t pushed() const { return pushed_; }
+  std::int64_t popped() const { return popped_; }
+
+  CalendarQueue cal;
+
+ private:
+  static constexpr std::int64_t kBudget = 20'000;
+
+  std::int64_t delay() {
+    const std::uint64_t r = rng_() % 100;
+    if (r < 20) return 0;                                  // zero-delay
+    if (r < 85) return static_cast<std::int64_t>(rng_() % 48);  // in ring
+    return 64 + static_cast<std::int64_t>(rng_() % 3000);  // spill
+  }
+
+  std::mt19937_64 rng_;
+  std::priority_queue<Event, std::vector<Event>, EventAfter> ref_;
+  std::int64_t pushed_ = 0;
+  std::int64_t popped_ = 0;
+};
+
+// Engine's protocol (Run::run_calendar): jump to the next pending tick,
+// then drain that whole tick with an index scan that tolerates the
+// bucket growing underneath it.
+TEST(CalendarQueue, PerTickDrainMatchesHeapOrder) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Oracle o(seed);
+    o.cal.reset(64);  // the smallest ring: plenty of overflow traffic
+    o.seed_wave(0, 200);
+    while (o.cal.live() > 0) {
+      o.cal.migrate_overflow();
+      std::vector<Event>* bucket = &o.cal.current();
+      while (bucket->empty()) {
+        o.cal.advance_to(o.cal.next_pending_tick());
+        bucket = &o.cal.current();
+      }
+      const std::int64_t now = o.cal.cursor();
+      std::size_t i = 0;
+      for (; i < bucket->size(); ++i) {
+        o.dispatch((*bucket)[i], now);
+        if (HasFatalFailure()) return;
+      }
+      o.cal.consumed(static_cast<std::int64_t>(i));
+      o.cal.clear_current();
+      o.cal.set_cursor(now + 1);
+    }
+    EXPECT_TRUE(o.done()) << "seed " << seed;
+    EXPECT_EQ(o.popped(), o.pushed()) << "seed " << seed;
+    EXPECT_GT(o.popped(), 10'000) << "seed " << seed;
+  }
 }
 
-TEST(SchedulerEquality, FullSweepIsBitIdenticalAcrossSchedulers) {
-  const analysis::Sweep heap = scheduler_sweep(sim::SchedulerKind::Heap);
-  const analysis::Sweep cal = scheduler_sweep(sim::SchedulerKind::Calendar);
-
-  EXPECT_EQ(heap.scheduler, "heap");
-  EXPECT_EQ(cal.scheduler, "calendar");
-  // All six Table 15 configs, both scenarios, every RunMetrics field.
-  ASSERT_EQ(heap.configs.size(), 6u);
-  ASSERT_GT(heap.samples.size(), 100u);
-  ASSERT_EQ(heap.samples.size(), cal.samples.size());
-  for (std::size_t i = 0; i < heap.samples.size(); ++i) {
-    ASSERT_EQ(heap.samples[i], cal.samples[i])
-        << "sample " << i << " (" << heap.samples[i].method << ", config "
-        << heap.samples[i].config_index << ")";
+// MultiEngine's protocol (MultiEngine::Impl::advance): one event per
+// step through a dispatched-prefix index, and — between waves — the
+// idle path that clears the cursor's bucket and jumps the cursor ahead
+// before new events arrive at the new cursor tick.
+TEST(CalendarQueue, SingleEventDrainMatchesHeapOrder) {
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    Oracle o(seed);
+    o.cal.reset(64);
+    std::size_t pos = 0;
+    for (int wave = 0; wave < 3; ++wave) {
+      o.seed_wave(o.cal.cursor(), 150);
+      while (o.cal.live() > 0) {
+        o.cal.migrate_overflow();
+        const std::vector<Event>& bucket = o.cal.current();
+        if (pos >= bucket.size()) {
+          o.cal.clear_current();
+          pos = 0;
+          o.cal.advance_to(o.cal.next_pending_tick());
+          continue;
+        }
+        const Event ev = bucket[pos++];
+        o.cal.consumed(1);
+        o.dispatch(ev, o.cal.cursor());
+        if (HasFatalFailure()) return;
+      }
+      o.cal.clear_current();
+      pos = 0;
+      o.cal.set_cursor(o.cal.cursor() + 500);
+    }
+    EXPECT_TRUE(o.done()) << "seed " << seed;
+    EXPECT_EQ(o.popped(), o.pushed()) << "seed " << seed;
   }
 }
 
-// ---- per-run trace equality ----
+TEST(CalendarQueue, ResetDropsPendingEventsAndRewinds) {
+  CalendarQueue q;
+  q.reset(64);
+  for (std::int64_t t : {0, 5, 63, 64, 5000}) {
+    Event ev;
+    ev.tick = t;
+    q.push(ev);
+  }
+  EXPECT_EQ(q.live(), 5);
+  EXPECT_EQ(q.next_pending_tick(), 5);
+  q.reset(128);
+  EXPECT_EQ(q.live(), 0);
+  EXPECT_EQ(q.cursor(), 0);
+  EXPECT_TRUE(q.current().empty());
+  EXPECT_EQ(q.next_pending_tick(), std::numeric_limits<std::int64_t>::max());
+  Event ev;
+  ev.tick = 0;
+  q.push(ev);
+  EXPECT_EQ(ev.seq, 0);  // the seq stamp rewinds too
+  EXPECT_EQ(q.current().size(), 1u);
+}
+
+// ---- engine abort and spill paths ----
 
 // A loop over an array load: backward transfer, TAIL replay, memory
 // ordering, mesh traffic — the full §6.3 event mix.
@@ -120,16 +208,14 @@ Program loop_program() {
 
 struct TracedRun {
   sim::RunMetrics metrics;
-  std::vector<obs::TraceEvent> events;
-  std::string chrome_json;
+  std::string trace_digest;  // Chrome trace JSON, hex FNV digest
 };
 
-TracedRun traced_run(const sim::MachineConfig& cfg,
-                     sim::SchedulerKind kind, const Program& p,
-                     const fabric::DataflowGraph& graph,
+TracedRun traced_run(const sim::MachineConfig& cfg, const Program& p,
                      std::int64_t max_ticks = 4'000'000) {
+  const fabric::DataflowGraph graph =
+      fabric::build_dataflow_graph(p.methods[0], p.pool);
   sim::EngineOptions options;
-  options.scheduler = kind;
   options.max_ticks = max_ticks;
   obs::EventTracer tracer;
   options.tracer = &tracer;
@@ -137,7 +223,6 @@ TracedRun traced_run(const sim::MachineConfig& cfg,
   sim::BranchPredictor predictor(sim::BranchPredictor::Scenario::BP1);
   TracedRun out;
   out.metrics = engine.run(p.methods[0], graph, predictor);
-  out.events = tracer.events();
   obs::TraceMeta meta;
   meta.method = p.methods[0].name;
   meta.config = cfg.name;
@@ -146,82 +231,123 @@ TracedRun traced_run(const sim::MachineConfig& cfg,
   meta.node_labels.assign(p.methods[0].code.size(), "n");
   std::ostringstream os;
   obs::write_chrome_trace(os, tracer, meta);
-  out.chrome_json = os.str();
+  out.trace_digest = cache::to_hex(cache::hash_bytes(os.str()));
   return out;
 }
-
-TEST(SchedulerEquality, TraceJsonIsIdenticalOnEveryConfig) {
-  const Program p = loop_program();
-  const fabric::DataflowGraph graph =
-      fabric::build_dataflow_graph(p.methods[0], p.pool);
-  for (const sim::MachineConfig& cfg : sim::table15_configs()) {
-    const TracedRun heap =
-        traced_run(cfg, sim::SchedulerKind::Heap, p, graph);
-    const TracedRun cal =
-        traced_run(cfg, sim::SchedulerKind::Calendar, p, graph);
-    ASSERT_TRUE(heap.metrics.completed) << cfg.name;
-    EXPECT_EQ(heap.metrics, cal.metrics) << cfg.name;
-    ASSERT_FALSE(heap.events.empty()) << cfg.name;
-    EXPECT_EQ(heap.events, cal.events) << cfg.name;
-    EXPECT_EQ(heap.chrome_json, cal.chrome_json) << cfg.name;
-  }
-}
-
-// ---- overflow-spill edge cases ----
 
 TEST(SchedulerOverflow, EventsBeyondBucketHorizonStayOrdered) {
   // Ring latencies far past the 4096-bucket ceiling force every
   // MemoryRead ServiceDone (and the GPP exception path) through the
-  // calendar's overflow spill. The result must not change.
-  const Program p = loop_program();
-  const fabric::DataflowGraph graph =
-      fabric::build_dataflow_graph(p.methods[0], p.pool);
+  // calendar's overflow spill.
   sim::MachineConfig cfg = sim::config_by_name("Compact2");
   cfg.ring.memory_read = 100'000;
   cfg.ring.gpp_service = 250'000;
-  const TracedRun heap = traced_run(cfg, sim::SchedulerKind::Heap, p, graph);
-  const TracedRun cal =
-      traced_run(cfg, sim::SchedulerKind::Calendar, p, graph);
-  ASSERT_TRUE(heap.metrics.completed);
-  // The slow ring really dominated the run — the spill path was taken.
-  ASSERT_GT(heap.metrics.ticks, 100'000);
-  EXPECT_EQ(heap.metrics, cal.metrics);
-  EXPECT_EQ(heap.events, cal.events);
-  EXPECT_EQ(heap.chrome_json, cal.chrome_json);
+  const TracedRun run = traced_run(cfg, loop_program());
+  EXPECT_TRUE(run.metrics.completed);
+  EXPECT_FALSE(run.metrics.timed_out);
+  EXPECT_EQ(run.metrics.ticks, 1'800'415);
+  EXPECT_EQ(run.metrics.instructions_fired, 68);
+  EXPECT_EQ(run.trace_digest, "3de62af6434f05e51be33fb7eb7dc5f8");
 }
 
 TEST(SchedulerOverflow, MaxTicksAbortPathIsIdentical) {
+  // The metrics the heap and calendar schedulers both produced.
+  struct Pin {
+    const char* config;
+    bool timed_out;
+    std::int64_t ticks;
+    std::int64_t fired;
+  };
+  const Pin pins[] = {
+      {"Baseline", true, 121, 44},
+      {"Compact10", true, 127, 5},
+      {"Compact2", true, 123, 16},
+  };
   const Program p = loop_program();
-  const fabric::DataflowGraph graph =
-      fabric::build_dataflow_graph(p.methods[0], p.pool);
-  for (const char* name : {"Baseline", "Compact10", "Compact2"}) {
-    const sim::MachineConfig cfg = sim::config_by_name(name);
-    const TracedRun heap = traced_run(cfg, sim::SchedulerKind::Heap, p,
-                                      graph, /*max_ticks=*/120);
-    const TracedRun cal = traced_run(cfg, sim::SchedulerKind::Calendar, p,
-                                     graph, /*max_ticks=*/120);
-    EXPECT_EQ(heap.metrics, cal.metrics) << name;
-    EXPECT_EQ(heap.metrics.timed_out, cal.metrics.timed_out) << name;
-    EXPECT_EQ(heap.events, cal.events) << name;
+  for (const Pin& pin : pins) {
+    const TracedRun run =
+        traced_run(sim::config_by_name(pin.config), p, /*max_ticks=*/120);
+    EXPECT_EQ(run.metrics.timed_out, pin.timed_out) << pin.config;
+    EXPECT_EQ(run.metrics.ticks, pin.ticks) << pin.config;
+    EXPECT_EQ(run.metrics.instructions_fired, pin.fired) << pin.config;
   }
 }
 
 TEST(SchedulerOverflow, SlowRingAbortCombinesSpillAndTimeout) {
   // Timeout while the only pending events sit in the overflow spill:
-  // the calendar must jump its cursor into the spill and abort at the
-  // same tick the heap does.
-  const Program p = loop_program();
-  const fabric::DataflowGraph graph =
-      fabric::build_dataflow_graph(p.methods[0], p.pool);
+  // the calendar must jump its cursor into the spill and abort there.
   sim::MachineConfig cfg = sim::config_by_name("Compact2");
   cfg.ring.memory_read = 100'000;
-  const TracedRun heap = traced_run(cfg, sim::SchedulerKind::Heap, p, graph,
-                                    /*max_ticks=*/50'000);
-  const TracedRun cal = traced_run(cfg, sim::SchedulerKind::Calendar, p,
-                                   graph, /*max_ticks=*/50'000);
-  EXPECT_TRUE(heap.metrics.timed_out);
-  EXPECT_EQ(heap.metrics, cal.metrics);
-  EXPECT_EQ(heap.events, cal.events);
+  const TracedRun run = traced_run(cfg, loop_program(), /*max_ticks=*/50'000);
+  EXPECT_TRUE(run.metrics.timed_out);
+  EXPECT_EQ(run.metrics.ticks, 200'043);
+  EXPECT_EQ(run.metrics.instructions_fired, 5);
+}
+
+// ---- workspace reuse ----
+
+// An engine's calendar outlives each run. A run that aborts at max_ticks
+// leaves events pending in its ring buckets (with a slow ring, the
+// memory read the cursor jumped to from the overflow spill), and the
+// next run on the same engine must not see any of them: it traces
+// exactly like the same run on a fresh engine.
+TEST(SchedulerReuse, AbortedRunLeavesNoEventsBehind) {
+  // A second, differently shaped method: straight-line index arithmetic
+  // and one array load.
+  Program p = loop_program();
+  Assembler a(p, "sched.load(IA)I", "sched");
+  a.args({ValueType::Int, ValueType::Ref}).returns(ValueType::Int);
+  a.iload(0).iload(0).op(Op::imul).iload(0).op(Op::imul).iload(0);
+  a.op(Op::imul).istore(0);
+  a.aload(1).iload(0).op(Op::iaload).op(Op::ireturn);
+  p.methods.push_back(a.build());
+  const bytecode::Method& loop = p.methods[0];
+  const bytecode::Method& load = p.methods[1];
+  const fabric::DataflowGraph loop_graph =
+      fabric::build_dataflow_graph(loop, p.pool);
+  const fabric::DataflowGraph load_graph =
+      fabric::build_dataflow_graph(load, p.pool);
+
+  std::vector<sim::MachineConfig> configs = sim::table15_configs();
+  sim::MachineConfig slow = sim::config_by_name("Compact2");
+  slow.ring.memory_read = 100'000;
+  configs.push_back(slow);
+
+  struct Run {
+    sim::RunMetrics metrics;
+    std::vector<obs::TraceEvent> events;
+  };
+  for (const sim::MachineConfig& cfg : configs) {
+    obs::EventTracer tracer;
+    sim::EngineOptions options;
+    options.max_ticks = 120;
+    options.tracer = &tracer;
+    const auto run = [&](sim::Engine& engine, const bytecode::Method& m,
+                         const fabric::DataflowGraph& graph) {
+      tracer.clear();
+      sim::BranchPredictor predictor(sim::BranchPredictor::Scenario::BP1);
+      Run out;
+      out.metrics = engine.run(m, graph, predictor);
+      out.events = tracer.events();
+      return out;
+    };
+
+    sim::Engine fresh(cfg, options);
+    const Run fresh_load = run(fresh, load, load_graph);
+
+    sim::Engine reused(cfg, options);
+    const Run first = run(reused, loop, loop_graph);
+    ASSERT_TRUE(first.metrics.timed_out) << cfg.name;
+    // Same method again: it walks the ring positions the aborted run
+    // left occupied.
+    const Run second = run(reused, loop, loop_graph);
+    EXPECT_EQ(second.metrics, first.metrics) << cfg.name;
+    EXPECT_EQ(second.events, first.events) << cfg.name;
+    // A different method, with its own ring size.
+    const Run reused_load = run(reused, load, load_graph);
+    EXPECT_EQ(reused_load.metrics, fresh_load.metrics) << cfg.name;
+    EXPECT_EQ(reused_load.events, fresh_load.events) << cfg.name;
+  }
 }
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include "fabric/fabric.hpp"
 #include "fabric/loader.hpp"
 #include "sim/config.hpp"
+#include "sim/plan.hpp"
 #include "workloads/corpus.hpp"
 
 using namespace javaflow;
@@ -110,6 +111,7 @@ std::vector<TightnessRow> measure_tightness(
 
   // (method name, config) -> static lower bound, computed lazily.
   std::map<std::pair<std::string, std::size_t>, std::int64_t> lb_cache;
+  sim::ExecPlanBuilder plan_builder;  // lowering scratch for the bounds
   std::vector<fabric::Fabric> fabrics;
   fabrics.reserve(sweep.configs.size());
   for (const sim::MachineConfig& cfg : sweep.configs) {
@@ -134,8 +136,8 @@ std::vector<TightnessRow> measure_tightness(
         const fabric::Placement placement =
             fabric::load_method(fabrics[s.config_index], m);
         const analysis::MethodBounds bounds = analysis::compute_bounds(
-            m, graph, fabrics[s.config_index], placement,
-            sweep.configs[s.config_index]);
+            m, plan_builder.build(m, graph, &placement,
+                                  sweep.configs[s.config_index]));
         if (bounds.valid) lb = bounds.lower_bound_ticks;
       }
       it = lb_cache.emplace(key, lb).first;
