@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
 
 namespace javaflow::fabric {
@@ -169,6 +170,13 @@ ResolutionResult resolve(const Fabric& fabric, const Method& m,
   const std::int64_t max_ticks =
       collapsed ? 4 * std::int64_t{n} + 64
                 : 64 * std::int64_t{n_slots} + 1024;
+  // Ticks on which no node can send change nothing (a queue's depth only
+  // moves on a delivery or a send), so the loop jumps from one busy tick
+  // to the next: the earliest in-flight arrival, or the earliest tick at
+  // which a node with queued needs has been passed by the wave. Placed
+  // at a high absolute slot, a method otherwise spends hop * slot idle
+  // ticks scanning every node before the wave reaches it.
+  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
   while (outstanding > 0 && tick <= max_ticks) {
     // Deliveries at this tick.
     auto [lo, hi] = in_flight.equal_range(tick);
@@ -186,21 +194,25 @@ ResolutionResult resolve(const Fabric& fabric, const Method& m,
     in_flight.erase(lo, hi);
     // Each node dispatches at most one message per serial tick; its own
     // needs go before anything relayed from below (§6.2).
+    std::int64_t next = kNever;
     for (std::int32_t i = 0; i < n; ++i) {
       const auto idx = static_cast<std::size_t>(i);
       const std::int32_t depth = static_cast<std::int32_t>(
           own[idx].size() + relay[idx].size());
       r.max_queue_up = std::max(r.max_queue_up, depth);
-      if (tick < inject_at[idx]) continue;  // wave not yet arrived
+      if (depth == 0) continue;
+      if (tick < inject_at[idx]) {  // wave not yet arrived
+        next = std::min(next, inject_at[idx]);
+        continue;
+      }
+      if (depth > 1) next = tick + 1;
       Need need{};
       if (!own[idx].empty()) {
         need = own[idx].front();
         own[idx].pop_front();
-      } else if (!relay[idx].empty()) {
+      } else {
         need = relay[idx].front();
         relay[idx].pop_front();
-      } else {
-        continue;
       }
       const std::int32_t dest = i - 1;
       if (dest < 0) {
@@ -212,7 +224,10 @@ ResolutionResult resolve(const Fabric& fabric, const Method& m,
       const std::int64_t arrive = tick + std::max<std::int64_t>(gap(i), 1);
       in_flight.emplace(arrive, std::make_pair(dest, need));
     }
-    ++tick;
+    if (!in_flight.empty()) next = std::min(next, in_flight.begin()->first);
+    // Nothing queued and nothing in flight: stepping on would only run
+    // the clock out, exactly as the tick budget does.
+    tick = next == kNever ? max_ticks + 1 : next;
   }
   r.phase_b_cycles = std::max(
       last_tick, *std::max_element(inject_at.begin(), inject_at.end()));

@@ -99,12 +99,15 @@ class ServerState {
     rep.plans_shared = mgr_.plans_shared();
     rep.plans_lowered = mgr_.plans_lowered();
     rep.max_queue_depth = max_queue_depth_;
+    rep.sealed_admissions = agg.sealed_admissions;
+    rep.transit_rebuilds = agg.transit_rebuilds;
 
     std::vector<std::int64_t> lat;
     for (const RequestOutcome& o : outcomes_) {
       rep.completed += o.completed ? 1 : 0;
       rep.rejected += o.rejected ? 1 : 0;
       rep.timed_out += o.timed_out ? 1 : 0;
+      rep.deadlocked += o.deadlocked ? 1 : 0;
       rep.instructions_fired += o.metrics.instructions_fired;
       if (o.completed) lat.push_back(o.latency_ticks);
     }
@@ -241,7 +244,7 @@ class ServerState {
         }
         const sim::ResidentId rid = engine_.admit(
             *r->method, *r->plan, r->phys_delta, rq.scenario, engine_.now());
-        if (rid < 0) {  // residency cap for this fabric lifetime
+        if (rid < 0) {  // kMaxResidents residencies alive at once
           mgr_.end_execute(mid);
           ++it;
           continue;
@@ -266,6 +269,7 @@ class ServerState {
     o.metrics = oc->metrics;
     if (oc->metrics.timed_out) {
       o.timed_out = true;
+      o.deadlocked = oc->deadlocked;
     } else {
       o.completed = true;
       o.completed_tick = oc->completed_tick;
@@ -333,7 +337,8 @@ std::uint64_t ServeReport::digest() const {
     f.s64(o.completed_tick);
     f.s64(o.latency_ticks);
     f.s64((o.completed ? 1 : 0) | (o.rejected ? 2 : 0) |
-          (o.timed_out ? 4 : 0) | (o.plan_shared ? 8 : 0));
+          (o.timed_out ? 4 : 0) | (o.plan_shared ? 8 : 0) |
+          (o.deadlocked ? 16 : 0));
     f.s64(o.metrics.ticks);
     f.s64(o.metrics.instructions_fired);
     f.s64(o.metrics.mesh_messages);
@@ -349,6 +354,7 @@ void ServeReport::write_json(std::ostream& os) const {
      << ", \"completed\": " << completed
      << ", \"rejected\": " << rejected
      << ", \"timed_out\": " << timed_out
+     << ", \"deadlocked\": " << deadlocked
      << ", \"fabric_ticks\": " << fabric_ticks
      << ", \"ticks_res_1plus\": " << ticks_res_1plus
      << ", \"ticks_res_2plus\": " << ticks_res_2plus
@@ -366,6 +372,8 @@ void ServeReport::write_json(std::ostream& os) const {
      << ", \"latency_p99\": " << latency_p99
      << ", \"latency_max\": " << latency_max
      << ", \"latency_mean_x1000\": " << latency_mean_x1000
+     << ", \"sealed_admissions\": " << sealed_admissions
+     << ", \"transit_rebuilds\": " << transit_rebuilds
      << ", \"digest\": " << digest() << "}";
 }
 

@@ -50,7 +50,10 @@ struct RequestOutcome {
   std::int64_t latency_ticks = -1;   // completed - arrival
   bool completed = false;
   bool rejected = false;   // method can never fit on this fabric
-  bool timed_out = false;  // fabric tick budget exhausted mid-run
+  bool timed_out = false;  // fabric tick budget exhausted mid-run, or
+                           // deadlocked
+  bool deadlocked = false;  // timed out because no event of it was left
+                            // (sim::ResidentOutcome::deadlocked)
   bool plan_shared = false;
   sim::RunMetrics metrics;  // valid when completed or timed_out
 };
@@ -67,6 +70,7 @@ struct ServeReport {
   std::int64_t completed = 0;
   std::int64_t rejected = 0;
   std::int64_t timed_out = 0;
+  std::int64_t deadlocked = 0;  // of timed_out
   std::int64_t fabric_ticks = 0;
   std::int64_t ticks_res_1plus = 0;
   std::int64_t ticks_res_2plus = 0;  // superposition witness
@@ -87,10 +91,17 @@ struct ServeReport {
   std::int64_t latency_p99 = -1;
   std::int64_t latency_max = -1;
   std::int64_t latency_mean_x1000 = -1;
+  // How the engine priced transit (sim::MultiRunMetrics): admissions
+  // that started sealed and sealed residencies rebuilt. Bookkeeping of
+  // the simulator, not behavior of the model.
+  std::int64_t sealed_admissions = 0;
+  std::int64_t transit_rebuilds = 0;
   std::vector<RequestOutcome> outcomes;
 
   // FNV-1a 64 over every scalar field and every outcome, in declaration
-  // order — two runs are behaviorally identical iff digests match.
+  // order — two runs are behaviorally identical iff digests match. The
+  // deadlocked count enters through each outcome's flag word, and the
+  // transit bookkeeping is left out.
   std::uint64_t digest() const;
   // Deterministic JSON (fixed key order, integers only).
   void write_json(std::ostream& os) const;

@@ -16,6 +16,7 @@
 
 #include "bytecode/opcode.hpp"
 #include "net/message.hpp"
+#include "sim/config.hpp"
 
 namespace javaflow::sim::detail {
 
@@ -145,6 +146,34 @@ inline constexpr std::int64_t kMaxExecMeshCycles = 10;
 // heap rather than growing the bucket array without bound.
 inline constexpr std::int64_t kMaxBuckets = 4096;
 
+// Calendar ring size for one method: the largest bounded delay the
+// model can emit — serial chain traversal (+ bundle spacing), a
+// corner-to-corner mesh route, the costliest execution group, and the
+// slowest ring service — rounded up to a power of two of at least one
+// occupancy word and capped at kMaxBuckets. Delays beyond the ring
+// (rare: long forward jumps on big methods once the ring is capped, or
+// a contended ring channel) spill to the overflow heap, so the bound is
+// a performance knob, never a correctness one.
+inline std::int64_t ring_buckets(const MachineConfig& cfg,
+                                 std::int32_t max_phys,
+                                 std::int32_t max_locals) {
+  const std::int64_t k = cfg.serial_per_mesh;
+  const std::int64_t hop = cfg.collapsed() ? 0 : 1;
+  const std::int64_t chain = std::int64_t{max_phys} + 1;
+  const std::int64_t width = std::max(cfg.width, 1);
+  const std::int64_t rows = (chain + width - 1) / width;
+  std::int64_t h = hop * (chain + 1) + max_locals + 3;
+  h = std::max(h, k * (width + rows));
+  h = std::max(h, k * kMaxExecMeshCycles);
+  const net::RingLatencies& rl = cfg.ring;
+  h = std::max(h, k * std::max({rl.memory_read, rl.memory_write,
+                                rl.constant_read, rl.gpp_service}));
+  const std::int64_t cap = std::min<std::int64_t>(h + 1, kMaxBuckets);
+  std::int64_t b = 64;  // >= one full occupancy word
+  while (b < cap) b <<= 1;
+  return b;
+}
+
 // The event queue of both kernels: a ring of one-tick buckets with an
 // occupancy bitmap, plus an overflow heap for events beyond the ring.
 // It hands events out in ascending (tick, seq), where seq is stamped by
@@ -160,27 +189,53 @@ inline constexpr std::int64_t kMaxBuckets = 4096;
 //     collapsed Baseline's zero-delay serial forward) lands behind the
 //     drain point with a larger seq.
 //
-// The owner drives the cursor: Engine drains a whole tick per step
-// (Run::run_calendar), MultiEngine one event at a time so it can pause
-// between any two events (MultiEngine::Impl::advance). Storage grows
-// monotonically, so a reused queue stops allocating after a few runs.
+// Both owners drain a whole tick per step; MultiEngine keeps a
+// dispatched-prefix index so it can pause mid-tick when a residency
+// completes and resume at the same event (MultiEngine::Impl::run).
+// Every cursor move that can leave pending events behind goes through
+// advance_to(), which migrates first. Storage grows monotonically, so
+// a reused queue stops allocating after a few runs.
 class CalendarQueue {
  public:
   // Sizes the ring to `buckets` (a power of two, >= 64), drops every
   // pending event, and rewinds the cursor and the seq stamp to 0. Only
   // buckets whose occupancy bit is set are cleared, not the whole ring.
   void reset(std::int64_t buckets) {
+    resize(buckets);
+    cur_ = 0;
+    seq_ = 0;
+  }
+
+  // Sizes the ring and drops every pending event, keeping the cursor and
+  // the seq stamp: the order contract holds for any ring size, so an
+  // owner whose queue is empty may re-size it between drains.
+  void resize(std::int64_t buckets) {
+    clear();
     if (buckets_.size() < static_cast<std::size_t>(buckets)) {
       buckets_.resize(static_cast<std::size_t>(buckets));
     }
     if (words_.size() < buckets_.size() >> 6) {
       words_.resize(buckets_.size() >> 6, 0);
     }
-    clear();
     count_ = buckets;
     mask_ = buckets - 1;
-    cur_ = 0;
-    seq_ = 0;
+  }
+
+  // Calls f(event) for every pushed, unconsumed event, in no particular
+  // order. The cursor's bucket is visited whole, so an owner that drains
+  // it by index also sees the prefix it already dispatched.
+  template <class F>
+  void for_each_pending(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      std::uint64_t bits = words_[w];
+      while (bits != 0) {
+        const int bit = std::countr_zero(bits);
+        bits &= bits - 1;
+        const auto bi = (w << 6) | static_cast<std::size_t>(bit);
+        for (const Event& ev : buckets_[bi]) f(ev);
+      }
+    }
+    for (const Event& ev : overflow_) f(ev);
   }
 
   // Drops every pending event; the cursor and seq stamp stay put.
@@ -269,8 +324,10 @@ class CalendarQueue {
     migrate_overflow();
   }
 
-  // Moves the cursor without migrating (the owner migrates before its
-  // next drain).
+  // Moves the cursor without migrating. Only safe when nothing can be
+  // pushed at a tick whose spilled events have not migrated yet: the
+  // next tick of a per-tick drain (the owner migrates before draining
+  // it) or a drained queue. Any other jump must use advance_to().
   void set_cursor(std::int64_t tick) { cur_ = tick; }
 
   // The cursor tick's bucket. Safe to hold across push(): the bucket
@@ -290,6 +347,7 @@ class CalendarQueue {
   void consumed(std::int64_t n) { live_ -= n; }
 
   std::int64_t cursor() const noexcept { return cur_; }
+  std::int64_t buckets() const noexcept { return count_; }
   // Events pushed and not yet consumed (buckets + overflow).
   std::int64_t live() const noexcept { return live_; }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
+#include <map>
 
 #include "net/message.hpp"
 #include "obs/event_tracer.hpp"
@@ -24,21 +24,20 @@ using detail::NodeRt;
 using detail::Token;
 using net::Command;
 
-// Fixed calendar ring: the serving workload spans arbitrary wall ticks,
-// so the ring is sized once at the ceiling instead of per method; long
-// gaps spill to the overflow heap exactly as in the single-method
-// engine.
-constexpr std::int64_t kRing = detail::kMaxBuckets;
-
 // `from_node` sentinel for send_serial: the owning residency's anchor
 // (one physical hop below the residency's first row).
 constexpr std::int32_t kFromAnchor = -1;
 
+// Side bit of a Serial event sent with bundle spacing (extra > 0). Its
+// bundle's leader (extra 0) left the same source at the same tick for
+// the same target, so the leader alone fixes the links both occupied.
+constexpr std::uint8_t kFollower = 1;
+
 }  // namespace
 
 // The whole multi-tenant run state. Mirrors the single engine's
-// Run<kInstr> (sim/engine.cpp) with three structural
-// changes, all driven by the Event::res lane:
+// Run<kInstr> (sim/engine.cpp) with three structural changes, all
+// driven by the Event::res lane:
 //
 //   * node lanes are global: residency r owns [r.base, r.base+r.count)
 //     and reads its static plan lanes at (g - r.base);
@@ -53,30 +52,72 @@ constexpr std::int32_t kFromAnchor = -1;
 //     cross-residency token queues behind the release and the wait is
 //     charged to its residency.
 //
-// Both kernels order events with the same detail::CalendarQueue. This
-// one drains it one event at a time (instead of whole ticks) so
-// advance() can pause at a request arrival or return mid-tick when a
-// residency completes; the (tick, seq) order is identical.
+// Sealing. Only records with busy_until > cursor can delay a later
+// token, and a residency's own records never delay it. A residency is
+// sealed while no other live residency's footprint (serial span plus
+// mesh route span, one physical interval) overlaps its own, and every
+// transit of it that waited has arrived: then none of its tokens can
+// wait, so it takes the closed-form transit and writes no serial/mesh
+// records. Its unwritten records are a function of its in-flight
+// events — a serial event fixes its path from `prod` (source phys) to
+// its node, a mesh event its plan route, and a transit that never
+// waits ends exactly at the event tick — so an admission that overlaps
+// it first rebuilds them (materialize). A finishing residency
+// materializes too, so nothing reads its plan after it finishes. Ring
+// channels always keep per-request occupancy.
+//
+// Both kernels order events with the same detail::CalendarQueue and
+// drain a whole tick per step; this one keeps the dispatched prefix of
+// the cursor's bucket (bucket_pos) so advance() can return mid-tick
+// when a residency finishes and resume at the next event; the (tick,
+// seq) order is identical. Handlers are templated on kInstr like
+// Engine's Run<kInstr>: with no registry or tracer attached anywhere,
+// every telemetry site compiles out.
 struct MultiEngine::Impl {
-  struct ResidentRt {
+  // Hot per-residency record, indexed by ResidentId (= Event::res):
+  // what the handlers touch on every event.
+  struct Slot {
+    const std::uint8_t* group = nullptr;
+    const std::uint8_t* op = nullptr;
+    const std::uint8_t* flags = nullptr;
+    const std::uint8_t* branch_kinds = nullptr;
+    const std::int32_t* pop_need = nullptr;
+    const std::int32_t* local_reg = nullptr;
+    const std::int32_t* target = nullptr;
+    const std::int32_t* operand = nullptr;
+    const std::int32_t* exec_cost = nullptr;
+    const std::int32_t* edge_begin = nullptr;
+    const PlanEdge* edges = nullptr;
+    const PlanRouteLink* routes = nullptr;
+    std::int32_t base = 0;   // first global node lane
+    std::int32_t count = 0;  // node lanes owned
+    std::int32_t phys_delta = 0;
+    std::int32_t inflight = 0;  // pushed, not yet dispatched events
+    std::int32_t pending = 0;   // nodes queued for a busy execution unit
+    bool done = false;
+    bool sealed = false;
+    // RunMetrics counters bumped on every event.
+    std::int64_t fired = 0;
+    std::int64_t mesh_msgs = 0;
+    std::int64_t serial_msgs = 0;
+  };
+
+  // Cold per-residency data: identity, predictor, accumulators.
+  struct Cold {
     const bytecode::Method* method = nullptr;
     const ExecPlan* plan = nullptr;
     BranchPredictor predictor{BranchPredictor::Scenario::BP1};
     obs::MetricsRegistry* mx = nullptr;
-    std::string name;
-    std::int32_t base = 0;   // first global node lane
-    std::int32_t count = 0;  // node lanes owned
-    std::int32_t phys_delta = 0;
+    std::size_t outcome = 0;  // index into outcomes (admission order)
     std::int32_t slot_delta = 0;
     std::int64_t inject_tick = 0;
-    bool done = false;
     bool completed = false;
     bool timed_out = false;
+    bool live = false;            // holds its id and lanes
+    bool footprint_live = false;  // !done || events in flight
+    bool reported = false;        // advance() has returned it
     std::int64_t end_tick = 0;
-    // RunMetrics accumulators, mirroring the single engine's fields.
-    std::int64_t fired = 0;
-    std::int64_t mesh_msgs = 0;
-    std::int64_t serial_msgs = 0;
+    // Overlap accumulators, mirroring the single engine's fields.
     int active_exec = 0;
     std::int64_t last_change = 0;
     std::int64_t acc1 = 0;
@@ -85,6 +126,13 @@ struct MultiEngine::Impl {
     std::int64_t serial_wait = 0;
     std::int64_t mesh_wait = 0;
     std::int64_t ring_wait = 0;
+    // Sealing: the footprint's physical interval, the number of other
+    // footprint-live residencies overlapping it, and the latest arrival
+    // of a transit of this residency that waited.
+    std::int32_t lo = 0;
+    std::int32_t hi = -1;
+    std::int32_t blockers = 0;
+    std::int64_t last_wait_arrival = -1;
   };
 
   struct Occupancy {
@@ -99,10 +147,17 @@ struct MultiEngine::Impl {
   std::int32_t idus = 1;
   bool collapsed = false;
 
-  std::vector<ResidentRt> residents;
-  std::vector<ResidentOutcome> outcomes;
-  std::deque<ResidentId> completed_queue;
+  std::vector<Slot> slots;
+  std::vector<Cold> cold;
+  std::vector<ResidentId> free_ids;
+  // Free node-lane ranges, size -> base (best fit, split on reuse).
+  std::multimap<std::int32_t, std::int32_t> free_lanes;
+  std::vector<ResidentOutcome> outcomes;  // every admission, in order
+  std::vector<ResidentId> completions;    // finished, not yet returned
+  std::size_t completion_head = 0;
+  bool completion_queued = false;
   std::size_t running = 0;
+  std::int32_t instr_live = 0;  // running residencies with a registry
 
   // ---- global node lanes (index = residency base + local node) ----
   std::vector<NodeRt> nodes;
@@ -136,6 +191,7 @@ struct MultiEngine::Impl {
   // ---- calendar (persistent across advance() calls) ----
   detail::CalendarQueue cal;
   std::size_t bucket_pos = 0;  // dispatched prefix of the cursor's bucket
+  std::int64_t want_buckets = 64;
   std::vector<Token> flush_scratch;
   std::int64_t now = 0;
 
@@ -147,6 +203,8 @@ struct MultiEngine::Impl {
   std::int64_t fab_acc2 = 0;
   std::int64_t res_acc1 = 0;
   std::int64_t res_acc2 = 0;
+  std::int64_t sealed_admissions = 0;
+  std::int64_t transit_rebuilds = 0;
   bool finished = false;
 
   explicit Impl(MachineConfig config, MultiEngineOptions options)
@@ -156,25 +214,39 @@ struct MultiEngine::Impl {
         hop(cfg.collapsed() ? 0 : 1),
         idus(std::max(cfg.idus_per_node, 1)),
         collapsed(cfg.collapsed()) {
-    cal.reset(kRing);
+    cal.reset(want_buckets);
   }
 
-  obs::MetricsRegistry* fab_mx() const { return opt.metrics; }
-  obs::EventTracer* tr() const { return opt.tracer; }
+  // Telemetry access: constant null when !kInstr, so every guarded site
+  // folds away in the uninstrumented instantiation.
+  template <bool kInstr>
+  obs::MetricsRegistry* fab_mx() const {
+    return kInstr ? opt.metrics : nullptr;
+  }
+  template <bool kInstr>
+  obs::MetricsRegistry* res_mx(std::uint16_t res) const {
+    return kInstr ? cold[res].mx : nullptr;
+  }
+  template <bool kInstr>
+  obs::EventTracer* tr() const {
+    return kInstr ? opt.tracer : nullptr;
+  }
+  bool instrumented() const {
+    return opt.metrics != nullptr || opt.tracer != nullptr || instr_live > 0;
+  }
 
   // ---- residency-frame helpers ----
-  std::int32_t local(const ResidentRt& r, std::int32_t g) const {
-    return g - r.base;
+  static std::size_t local(const Slot& r, std::int32_t g) {
+    return static_cast<std::size_t>(g - r.base);
   }
-  std::int32_t phys_g(const ResidentRt& r, std::int32_t g) const {
-    (void)r;
+  std::int32_t phys_g(std::int32_t g) const {
     return phys_lane[static_cast<std::size_t>(g)];
   }
-  bool flag(const ResidentRt& r, std::int32_t g, std::uint8_t f) const {
-    return (r.plan->flags()[local(r, g)] & f) != 0;
+  static bool flag(const Slot& r, std::int32_t g, std::uint8_t f) {
+    return (r.flags[local(r, g)] & f) != 0;
   }
-  Group group_of(const ResidentRt& r, std::int32_t g) const {
-    return static_cast<Group>(r.plan->group()[local(r, g)]);
+  static Group group_of(const Slot& r, std::int32_t g) {
+    return static_cast<Group>(r.group[local(r, g)]);
   }
 
   void ensure_phys(std::int32_t max_phys_global) {
@@ -189,120 +261,248 @@ struct MultiEngine::Impl {
   }
 
   // ---- admission ----
+  std::int32_t alloc_lanes(std::int32_t count) {
+    const auto it = free_lanes.lower_bound(count);
+    if (it == free_lanes.end()) {
+      const auto base = static_cast<std::int32_t>(nodes.size());
+      const auto nn = static_cast<std::size_t>(base + count);
+      nodes.resize(nn);
+      state.resize(nn);
+      pops.resize(nn);
+      epoch.resize(nn);
+      fwd.resize(nn);
+      head_tick.resize(nn);
+      tail_hold.resize(nn);
+      distinct.resize(nn);
+      res_of.resize(nn);
+      phys_lane.resize(nn);
+      return base;
+    }
+    const std::int32_t base = it->second;
+    const std::int32_t rest = it->first - count;
+    free_lanes.erase(it);
+    if (rest > 0) free_lanes.emplace(rest, base + count);
+    return base;
+  }
+
+  static bool overlaps(const Cold& a, const Cold& b) {
+    return a.lo <= b.hi && b.lo <= a.hi;
+  }
+
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,
                    std::int64_t start_tick, obs::MetricsRegistry* rmx) {
-    if (residents.size() >= static_cast<std::size_t>(kMaxResidents) ||
-        !plan.fits()) {
+    if (!plan.fits()) return -1;
+    ResidentId id;
+    if (!free_ids.empty()) {
+      id = free_ids.back();
+      free_ids.pop_back();
+    } else if (slots.size() < static_cast<std::size_t>(kMaxResidents)) {
+      id = static_cast<ResidentId>(slots.size());
+      slots.emplace_back();
+      cold.emplace_back();
+    } else {
       return -1;
     }
-    const auto id = static_cast<ResidentId>(residents.size());
-    ResidentRt r;
-    r.method = &m;
-    r.plan = &plan;
-    r.predictor = BranchPredictor(scenario);
-    r.mx = rmx;
-    r.name = m.name;
-    r.base = static_cast<std::int32_t>(nodes.size());
-    r.count = plan.node_count();
-    r.phys_delta = phys_delta;
-    r.slot_delta = phys_delta * idus;
-    r.inject_tick = std::max(start_tick, cal.cursor());
-    r.last_change = r.inject_tick;
-
-    const auto nn = static_cast<std::size_t>(r.base + r.count);
-    nodes.resize(nn);
-    state.resize(nn, 0);
-    pops.resize(nn, 0);
-    epoch.resize(nn, 0);
-    fwd.resize(nn);
-    head_tick.resize(nn, -1);
-    tail_hold.resize(nn, -1);
-    distinct.resize(nn, 0);
-    res_of.resize(nn, static_cast<std::uint16_t>(id));
-    phys_lane.resize(nn);
-    for (std::int32_t i = 0; i < r.count; ++i) {
-      fwd[static_cast<std::size_t>(r.base + i)] = r.base + i + 1;
-      phys_lane[static_cast<std::size_t>(r.base + i)] =
-          plan.phys()[i] + phys_delta;
+    const auto res = static_cast<std::uint16_t>(id);
+    const std::int32_t count = plan.node_count();
+    const std::int32_t base = alloc_lanes(count);
+    for (std::int32_t i = 0; i < count; ++i) {
+      const auto u = static_cast<std::size_t>(base + i);
+      nodes[u].reset_cold();
+      state[u] = 0;
+      pops[u] = 0;
+      epoch[u] = 0;
+      fwd[u] = base + i + 1;
+      head_tick[u] = -1;
+      tail_hold[u] = -1;
+      distinct[u] = 0;
+      res_of[u] = res;
+      phys_lane[u] = plan.phys()[i] + phys_delta;
     }
-    ensure_phys(plan.max_phys() + phys_delta);
 
-    residents.push_back(std::move(r));
+    Slot& r = slots[static_cast<std::size_t>(id)];
+    r = Slot{};
+    r.group = plan.group();
+    r.op = plan.op();
+    r.flags = plan.flags();
+    r.branch_kinds = plan.branch_kinds();
+    r.pop_need = plan.pop_need();
+    r.local_reg = plan.local_reg();
+    r.target = plan.target();
+    r.operand = plan.operand();
+    r.exec_cost = plan.exec_cost_ticks();
+    r.edge_begin = plan.edge_begin();
+    r.edges = plan.edges();
+    r.routes = plan.route_links();
+    r.base = base;
+    r.count = count;
+    r.phys_delta = phys_delta;
+
+    Cold& c = cold[static_cast<std::size_t>(id)];
+    c = Cold{};
+    c.method = &m;
+    c.plan = &plan;
+    c.predictor = BranchPredictor(scenario);
+    c.mx = rmx;
+    c.slot_delta = phys_delta * idus;
+    c.inject_tick = std::max(start_tick, cal.cursor());
+    c.last_change = c.inject_tick;
+    c.live = true;
+    c.footprint_live = true;
+    c.outcome = outcomes.size();
+    // The footprint: serial links from the anchor's first hop to the
+    // last node, and the mesh links of every plan route.
+    c.lo = phys_delta;
+    c.hi = plan.max_phys() + phys_delta;
+    if (plan.route_phys_min() >= 0) {
+      c.lo = std::min(c.lo, plan.route_phys_min() + phys_delta);
+      c.hi = std::max(c.hi, plan.route_phys_max() + phys_delta);
+    }
+    ensure_phys(c.hi);
+
+    for (std::size_t j = 0; j < cold.size(); ++j) {
+      if (j == static_cast<std::size_t>(id) || !cold[j].footprint_live ||
+          !overlaps(c, cold[j])) {
+        continue;
+      }
+      ++c.blockers;
+      ++cold[j].blockers;
+      if (slots[j].sealed) {
+        materialize(static_cast<std::uint16_t>(j));
+        slots[j].sealed = false;
+      }
+    }
+    r.sealed = c.blockers == 0;
+    sealed_admissions += r.sealed ? 1 : 0;
+
     outcomes.emplace_back();
     outcomes.back().resident = id;
     outcomes.back().name = m.name;
-    outcomes.back().admitted_tick = residents.back().inject_tick;
+    outcomes.back().admitted_tick = c.inject_tick;
     ++running;
+    if (rmx != nullptr) ++instr_live;
 
-    inject_bundle(residents.back(), static_cast<std::uint16_t>(id));
+    want_buckets = std::max(
+        want_buckets, detail::ring_buckets(cfg, plan.max_phys(), m.max_locals));
+    maybe_grow_ring();
+
+    if (instrumented()) {
+      inject_bundle<true>(res);
+    } else {
+      inject_bundle<false>(res);
+    }
     return id;
   }
 
-  void inject_bundle(ResidentRt& r, std::uint16_t res) {
+  // The ring only grows while the calendar is empty, so no event ever
+  // needs rehashing.
+  void maybe_grow_ring() {
+    if (cal.live() == 0 && want_buckets > cal.buckets()) {
+      cal.resize(want_buckets);
+      bucket_pos = 0;
+    }
+  }
+
+  template <bool kInstr>
+  void inject_bundle(std::uint16_t res) {
+    Slot& r = slots[res];
     const std::int64_t spacing = hop == 0 ? 0 : 1;
     std::int64_t idx = 0;
-    now = r.inject_tick;
-    send_serial(r, res, kFromAnchor, Token{Command::HeadToken, -1}, r.base,
-                spacing * idx++);
-    send_serial(r, res, kFromAnchor, Token{Command::MemoryToken, -1}, r.base,
-                spacing * idx++);
-    for (std::int32_t reg = 0; reg < r.method->max_locals; ++reg) {
-      send_serial(r, res, kFromAnchor, Token{Command::RegisterToken, reg},
-                  r.base, spacing * idx++);
+    now = cold[res].inject_tick;
+    send_serial<kInstr>(r, res, kFromAnchor, Token{Command::HeadToken, -1},
+                        r.base, spacing * idx++);
+    send_serial<kInstr>(r, res, kFromAnchor, Token{Command::MemoryToken, -1},
+                        r.base, spacing * idx++);
+    for (std::int32_t reg = 0; reg < cold[res].method->max_locals; ++reg) {
+      send_serial<kInstr>(r, res, kFromAnchor,
+                          Token{Command::RegisterToken, reg}, r.base,
+                          spacing * idx++);
     }
-    send_serial(r, res, kFromAnchor, Token{Command::TailToken, -1}, r.base,
-                spacing * idx++);
+    send_serial<kInstr>(r, res, kFromAnchor, Token{Command::TailToken, -1},
+                        r.base, spacing * idx++);
   }
 
   std::optional<ResidentId> advance(std::int64_t until) {
+    return instrumented() ? run<true>(until) : run<false>(until);
+  }
+
+  template <bool kInstr>
+  std::optional<ResidentId> run(std::int64_t until) {
     while (true) {
-      if (!completed_queue.empty()) {
-        const ResidentId id = completed_queue.front();
-        completed_queue.pop_front();
-        return id;
-      }
+      if (completion_queued) return pop_completion();
       if (cal.live() == 0) {
-        // Fully drained: every scheduled event has been dispatched, so
-        // whatever sits in the cursor's bucket is a consumed prefix.
-        // Clear it and rewind bucket_pos before the cursor jumps —
-        // otherwise an admission at the idle tick inserts its bundle
-        // below the stale cursor and the events are never dispatched.
+        // Fully drained: whatever sits in the cursor's bucket is a
+        // consumed prefix. Clear it and rewind bucket_pos before the
+        // cursor jumps — otherwise an admission at the idle tick
+        // inserts its bundle below a stale cursor and is never
+        // dispatched.
         cal.clear_current();
         bucket_pos = 0;
+        maybe_grow_ring();
+        if (running > 0) {
+          // Unreachable while check_stuck() sees every residency's last
+          // event; kept so a missed case ends in a classified outcome
+          // instead of an idle fabric that never finishes.
+          for (const std::uint16_t res : running_in_admission_order()) {
+            declare_deadlock(res);
+          }
+          return pop_completion();
+        }
         if (until != kNoLimit && until > cal.cursor()) cal.set_cursor(until);
         return std::nullopt;
       }
       if (cal.cursor() >= until) return std::nullopt;
-      cal.migrate_overflow();
-      const std::vector<Event>& bucket = cal.current();
-      if (bucket_pos >= bucket.size()) {
-        // Tick drained: clear the bucket and jump to the next pending
-        // tick.
-        cal.clear_current();
-        bucket_pos = 0;
-        const std::int64_t next = cal.next_pending_tick();
-        if (next >= until) {
-          cal.set_cursor(until);
-          return std::nullopt;
-        }
-        if (next > opt.max_ticks) {
-          timeout_all(next);
-          continue;
-        }
-        cal.advance_to(next);
+      std::vector<Event>& bucket = cal.current();
+      if (bucket_pos < bucket.size()) {
+        // Drain the rest of the tick. The index scan tolerates the
+        // bucket growing underneath it (zero-delay serial forwards in
+        // the collapsed Baseline land behind the scan point), and stops
+        // right after an event that finished a residency.
+        now = cal.cursor();
+        std::size_t i = bucket_pos;
+        do {
+          const Event ev = bucket[i++];
+          dispatch<kInstr>(ev);
+        } while (i < bucket.size() && !completion_queued);
+        cal.consumed(static_cast<std::int64_t>(i - bucket_pos));
+        bucket_pos = i;
         continue;
       }
-      const Event ev = bucket[bucket_pos++];
-      cal.consumed(1);
-      now = cal.cursor();
-      dispatch(ev);
+      // Tick drained: clear the bucket and jump to the next pending tick.
+      cal.clear_current();
+      bucket_pos = 0;
+      if (cal.live() == 0) continue;
+      const std::int64_t next = cal.next_pending_tick();
+      if (next >= until) {
+        cal.advance_to(until);
+        return std::nullopt;
+      }
+      if (next > opt.max_ticks) {
+        timeout_all(next);
+        continue;
+      }
+      cal.advance_to(next);
     }
   }
 
+  ResidentId pop_completion() {
+    const ResidentId id = completions[completion_head++];
+    if (completion_head == completions.size()) {
+      completions.clear();
+      completion_head = 0;
+      completion_queued = false;
+    }
+    cold[static_cast<std::size_t>(id)].reported = true;
+    settle(static_cast<std::uint16_t>(id));
+    return id;
+  }
+
+  template <bool kInstr>
   void dispatch(const Event& ev) {
-    ResidentRt& r = residents[ev.res];
+    Slot& r = slots[ev.res];
+    --r.inflight;
     if (r.done) {
       // A finished residency's stale events are dropped — except that a
       // still-in-flight execution completion must free its Instruction
@@ -311,21 +511,130 @@ struct MultiEngine::Impl {
       if (ev.kind() == EvKind::ExecDone) {
         state[static_cast<std::size_t>(ev.node)] &=
             static_cast<std::uint8_t>(~kExecuting);
-        exec_delta(r, ev.res, -1);
-        release_execution_unit(ev.node);
+        exec_delta(ev.res, -1);
+        release_execution_unit<kInstr>(ev.node);
       }
+      settle(ev.res);
       return;
     }
     switch (ev.kind()) {
       case EvKind::Serial:
-        on_serial(r, ev.res, ev.node, Token{ev.cmd, ev.aux});
+        on_serial<kInstr>(r, ev.res, ev.node, Token{ev.cmd, ev.aux});
         break;
       case EvKind::Mesh:
-        on_mesh(r, ev.res, ev.node, ev.side(), ev.aux, ev.prod);
+        on_mesh<kInstr>(r, ev.res, ev.node, ev.side(), ev.aux, ev.prod);
         break;
-      case EvKind::ExecDone: on_exec_done(r, ev.res, ev.node); break;
-      case EvKind::ServiceDone: on_service_done(r, ev.res, ev.node); break;
+      case EvKind::ExecDone: on_exec_done<kInstr>(r, ev.res, ev.node); break;
+      case EvKind::ServiceDone:
+        on_service_done<kInstr>(r, ev.res, ev.node);
+        break;
     }
+    check_stuck(r, ev.res);
+  }
+
+  [[gnu::always_inline]] inline void push(Slot& r, Event& ev) {
+    ++r.inflight;
+    cal.push(ev);
+  }
+
+  // ---- lifetime ----
+
+  // Releases what a finished residency holds once its last event has
+  // left the calendar: its footprint (other residencies may reseal),
+  // then — once advance() has returned it — its id and node lanes.
+  void settle(std::uint16_t res) {
+    const Slot& r = slots[res];
+    Cold& c = cold[res];
+    if (!r.done || r.inflight != 0) return;
+    if (c.footprint_live) {
+      c.footprint_live = false;
+      for (Cold& o : cold) {
+        if (&o != &c && o.footprint_live && overlaps(o, c)) --o.blockers;
+      }
+    }
+    if (!c.reported || !c.live) return;
+    c.live = false;
+    if (idus > 1) {
+      // Stale fire requests of this residency would otherwise name lanes
+      // the next owner reuses.
+      for (std::int32_t g = r.base; g < r.base + r.count; ++g) {
+        auto& pending = pending_fire[static_cast<std::size_t>(phys_g(g))];
+        std::erase_if(pending, [&](std::int32_t x) {
+          return x >= r.base && x < r.base + r.count;
+        });
+      }
+    }
+    free_lanes.emplace(r.count, r.base);
+    free_ids.push_back(static_cast<ResidentId>(res));
+  }
+
+  // Writes the link reservations a sealed residency's in-flight events
+  // imply (see "Sealing" above). Only reservations past the cursor can
+  // delay anyone; the rest are equivalent to no record at all.
+  void materialize(std::uint16_t res) {
+    const Slot& r = slots[res];
+    const std::int64_t floor = cal.cursor();
+    ++transit_rebuilds;
+    const auto reserve = [&](Occupancy& o, std::int64_t done) {
+      if (done <= floor) return;
+      if (o.owner != res) {
+        o.owner = res;
+        o.busy_until = done;
+      } else if (done > o.busy_until) {
+        o.busy_until = done;
+      }
+    };
+    cal.for_each_pending([&](const Event& ev) {
+      if (ev.res != res) return;
+      if (ev.kind() == EvKind::Serial) {
+        if (hop == 0 || (ev.side() & kFollower) != 0) return;
+        const std::int32_t a = ev.prod;
+        const std::int32_t b = phys_g(ev.node);
+        std::int64_t t = ev.tick - hop * (a < b ? b - a : a - b);
+        if (a < b) {
+          for (std::int32_t p = a + 1; p <= b; ++p) {
+            t += hop;
+            reserve(link_down[static_cast<std::size_t>(p)], t);
+          }
+        } else {
+          for (std::int32_t p = a - 1; p >= b; --p) {
+            t += hop;
+            reserve(link_up[static_cast<std::size_t>(p)], t);
+          }
+        }
+      } else if (ev.kind() == EvKind::Mesh && !collapsed) {
+        const std::size_t lu = local(r, ev.prod);
+        const auto consumer = static_cast<std::int32_t>(local(r, ev.node));
+        const PlanEdge* e = r.edges + r.edge_begin[lu];
+        const PlanEdge* const end = r.edges + r.edge_begin[lu + 1];
+        while (e != end && (e->consumer != consumer || e->side != ev.side())) {
+          ++e;
+        }
+        if (e == end || e->route_count == 0) return;
+        std::int64_t t = ev.tick - k * e->route_count;
+        const PlanRouteLink* link = r.routes + e->route_begin;
+        for (std::int32_t i = 0; i < e->route_count; ++i, ++link) {
+          t += k;
+          reserve(mesh_link[static_cast<std::size_t>(link->src_phys +
+                                                     r.phys_delta) *
+                                4 +
+                            link->dir],
+                  t);
+        }
+      }
+    });
+  }
+
+  // An unsealed residency seals again once nothing overlapping it is
+  // live (so no foreign reservation in its footprint is pending) and
+  // every transit of it that waited has arrived (so its own pending
+  // reservations are all closed-form, hence rebuildable).
+  bool transit_sealed(Slot& r, std::uint16_t res) {
+    if (!r.sealed) {
+      const Cold& c = cold[res];
+      r.sealed = c.blockers == 0 && cal.cursor() >= c.last_wait_arrival;
+    }
+    return r.sealed;
   }
 
   // ---- occupancy-tracked transport ----
@@ -335,8 +644,9 @@ struct MultiEngine::Impl {
   // behind each other, exactly as in sim::Engine); a cross-residency
   // token starts when the resource frees and the delay is charged to
   // the waiting residency.
-  std::int64_t occupy(Occupancy& o, std::int32_t owner, std::int64_t at,
-                      std::int64_t dur, std::int64_t* wait) {
+  static std::int64_t occupy(Occupancy& o, std::int32_t owner,
+                             std::int64_t at, std::int64_t dur,
+                             std::int64_t* wait) {
     std::int64_t start = at;
     if (o.owner != owner && o.busy_until > at) {
       start = o.busy_until;
@@ -351,8 +661,8 @@ struct MultiEngine::Impl {
   // Serial-chain arrival tick from physical a to b (global indices;
   // a == phys_delta-1 is the residency's anchor). Collapsed configs
   // have zero serial transit, hence nothing to contend for.
-  std::int64_t chain_arrival(ResidentRt& r, std::uint16_t res,
-                             std::int32_t a, std::int32_t b) {
+  std::int64_t chain_arrival(std::uint16_t res, std::int32_t a,
+                             std::int32_t b) {
     if (hop == 0) return now;
     if (a == b) return now + hop;  // intra-node IDU chain hop
     std::int64_t t = now;
@@ -368,8 +678,19 @@ struct MultiEngine::Impl {
                    &wait);
       }
     }
-    r.serial_wait += wait;
+    if (wait > 0) note_wait(cold[res].serial_wait, cold[res], wait, t);
     return t;
+  }
+
+  // The same arrival with no link to wait on (a sealed residency).
+  std::int64_t chain_closed(std::int32_t a, std::int32_t b) const {
+    return now + hop * std::max<std::int64_t>(a < b ? b - a : a - b, 1);
+  }
+
+  static void note_wait(std::int64_t& total, Cold& c, std::int64_t wait,
+                        std::int64_t arrival) {
+    total += wait;
+    c.last_wait_arrival = std::max(c.last_wait_arrival, arrival);
   }
 
   // Mesh arrival tick for one plan edge. The precomputed X-Y route is
@@ -378,10 +699,10 @@ struct MultiEngine::Impl {
   // length == Manhattan distance), so single-residency timing is
   // bit-identical. Collapsed configs and self-edges (distance clamped
   // to 1, no links) keep the baked cost.
-  std::int64_t mesh_arrival(ResidentRt& r, std::uint16_t res,
+  std::int64_t mesh_arrival(const Slot& r, std::uint16_t res,
                             const PlanEdge& e) {
     if (collapsed || e.route_count == 0) return now + e.delivery_ticks;
-    const PlanRouteLink* link = r.plan->route_links() + e.route_begin;
+    const PlanRouteLink* link = r.routes + e.route_begin;
     std::int64_t t = now;
     std::int64_t wait = 0;
     for (std::int32_t i = 0; i < e.route_count; ++i, ++link) {
@@ -390,8 +711,13 @@ struct MultiEngine::Impl {
           link->dir;
       t = occupy(mesh_link[li], res, t, k, &wait);
     }
-    r.mesh_wait += wait;
+    if (wait > 0) note_wait(cold[res].mesh_wait, cold[res], wait, t);
     return t;
+  }
+
+  std::int64_t mesh_closed(const PlanEdge& e) const {
+    return collapsed || e.route_count == 0 ? now + e.delivery_ticks
+                                           : now + k * e.route_count;
   }
 
   // Ring-service completion tick. All four channels are fabric-global —
@@ -399,38 +725,46 @@ struct MultiEngine::Impl {
   // residencies. `blocking` distinguishes a waiting requester (MemRead,
   // GPP calls) from a posted MemoryWrite, which reserves the channel
   // but never stalls its node.
-  std::int64_t ring_done(ResidentRt& r, std::uint16_t res,
-                         net::RingService svc, std::int64_t svc_ticks,
-                         bool blocking) {
+  std::int64_t ring_done(std::uint16_t res, net::RingService svc,
+                         std::int64_t svc_ticks, bool blocking) {
     Occupancy& o = ring[static_cast<std::size_t>(svc)];
     std::int64_t wait = 0;
     const std::int64_t done = occupy(o, res, now, svc_ticks, &wait);
-    if (blocking) r.ring_wait += wait;
+    if (blocking) cold[res].ring_wait += wait;
     return done;
   }
 
   // ---- sends ----
-  void send_serial(ResidentRt& r, std::uint16_t res, std::int32_t from_g,
+  template <bool kInstr>
+  void send_serial(Slot& r, std::uint16_t res, std::int32_t from_g,
                    Token tok, std::int32_t to_g, std::int64_t extra = 0) {
     if (to_g < r.base || to_g >= r.base + r.count) {
       return;  // token falls off the residency's chain span
     }
     ++r.serial_msgs;
     const std::int32_t a =
-        from_g == kFromAnchor ? r.phys_delta - 1 : phys_g(r, from_g);
-    const std::int32_t b = phys_g(r, to_g);
-    const std::int64_t arrive = chain_arrival(r, res, a, b);
-    const std::int64_t delay = arrive - now;
-    if (fab_mx() != nullptr) note_serial(*fab_mx(), delay, tok.cmd);
-    if (r.mx != nullptr) note_serial(*r.mx, delay, tok.cmd);
+        from_g == kFromAnchor ? r.phys_delta - 1 : phys_g(from_g);
+    const std::int32_t b = phys_g(to_g);
+    const std::int64_t arrive = transit_sealed(r, res) ? chain_closed(a, b)
+                                                       : chain_arrival(res, a, b);
+    if constexpr (kInstr) {
+      const std::int64_t delay = arrive - now;
+      if (fab_mx<kInstr>() != nullptr) {
+        note_serial(*fab_mx<kInstr>(), delay, tok.cmd);
+      }
+      if (res_mx<kInstr>(res) != nullptr) {
+        note_serial(*res_mx<kInstr>(res), delay, tok.cmd);
+      }
+    }
     Event ev;
-    ev.set(EvKind::Serial);
+    ev.set(EvKind::Serial, extra != 0 ? kFollower : 0);
     ev.node = to_g;
     ev.res = res;
     ev.cmd = tok.cmd;
     ev.aux = tok.reg;
+    ev.prod = a;
     ev.tick = arrive + extra;
-    cal.push(ev);
+    push(r, ev);
   }
 
   static void note_serial(obs::MetricsRegistry& mx, std::int64_t delay,
@@ -440,20 +774,24 @@ struct MultiEngine::Impl {
     ++mx.serial_commands[static_cast<std::size_t>(cmd)];
   }
 
-  void forward_token(ResidentRt& r, std::uint16_t res, std::int32_t g,
-                     Token tok) {
-    send_serial(r, res, g, tok, fwd[static_cast<std::size_t>(g)]);
+  template <bool kInstr>
+  void forward_token(Slot& r, std::uint16_t res, std::int32_t g, Token tok) {
+    send_serial<kInstr>(r, res, g, tok, fwd[static_cast<std::size_t>(g)]);
   }
 
-  void send_mesh(ResidentRt& r, std::uint16_t res, std::int32_t g) {
-    const auto lu = static_cast<std::size_t>(local(r, g));
-    const std::int32_t* eb = r.plan->edge_begin();
-    const PlanEdge* e = r.plan->edges() + eb[lu];
-    const PlanEdge* const end = r.plan->edges() + eb[lu + 1];
+  template <bool kInstr>
+  void send_mesh(Slot& r, std::uint16_t res, std::int32_t g) {
+    const std::size_t lu = local(r, g);
+    const PlanEdge* e = r.edges + r.edge_begin[lu];
+    const PlanEdge* const end = r.edges + r.edge_begin[lu + 1];
+    if (e == end) return;
+    const bool sealed = transit_sealed(r, res);
     for (; e != end; ++e) {
       ++r.mesh_msgs;
-      if (fab_mx() != nullptr) note_mesh(*fab_mx(), r, *e);
-      if (r.mx != nullptr) note_mesh(*r.mx, r, *e);
+      if (fab_mx<kInstr>() != nullptr) note_mesh(*fab_mx<kInstr>(), r, *e);
+      if (res_mx<kInstr>(res) != nullptr) {
+        note_mesh(*res_mx<kInstr>(res), r, *e);
+      }
       const std::int32_t consumer_g = r.base + e->consumer;
       Event ev;
       ev.set(EvKind::Mesh, e->side);
@@ -461,16 +799,16 @@ struct MultiEngine::Impl {
       ev.res = res;
       ev.prod = g;
       ev.aux = epoch[static_cast<std::size_t>(consumer_g)];
-      ev.tick = mesh_arrival(r, res, *e);
-      cal.push(ev);
+      ev.tick = sealed ? mesh_closed(*e) : mesh_arrival(r, res, *e);
+      push(r, ev);
     }
   }
 
-  void note_mesh(obs::MetricsRegistry& mx, const ResidentRt& r,
-                 const PlanEdge& e) const {
+  static void note_mesh(obs::MetricsRegistry& mx, const Slot& r,
+                        const PlanEdge& e) {
     ++mx.mesh_messages;
     mx.mesh_transit_cycles += static_cast<std::uint64_t>(e.mesh_cycles);
-    const PlanRouteLink* link = r.plan->route_links() + e.route_begin;
+    const PlanRouteLink* link = r.routes + e.route_begin;
     for (std::int32_t i = 0; i < e.route_count; ++i, ++link) {
       mx.mesh_link(link->src_phys + r.phys_delta,
                    static_cast<obs::LinkDir>(link->dir));
@@ -478,13 +816,14 @@ struct MultiEngine::Impl {
   }
 
   // ---- serial handlers (ported from sim/engine.cpp on_serial) ----
-  void on_serial(ResidentRt& r, std::uint16_t res, std::int32_t g,
-                 Token tok) {
+  template <bool kInstr>
+  void on_serial(Slot& r, std::uint16_t res, std::int32_t g, Token tok) {
     const auto u = static_cast<std::size_t>(g);
     NodeRt& n = nodes[u];
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::TokenDeliver, g, phys_g(r, g),
-                    static_cast<std::uint8_t>(tok.cmd), 0});
+    if (tr<kInstr>() != nullptr) {
+      tr<kInstr>()->record({now, obs::TraceEventKind::TokenDeliver, g,
+                            phys_g(g), static_cast<std::uint8_t>(tok.cmd),
+                            0});
     }
     const std::uint8_t st = state[u];
     const bool buffers = flag(r, g, kPlanBuffers);
@@ -494,45 +833,45 @@ struct MultiEngine::Impl {
     switch (tok.cmd) {
       case Command::HeadToken:
         state[u] |= kHeadReceived;
-        head_tick[u] = now;
+        if constexpr (kInstr) head_tick[u] = now;
         if (hold) {
           n.buffered.push_back(tok);
-          note_buffered(r, g, n);
-          try_fire(r, res, g);
+          note_buffered<kInstr>(res, g, n);
+          try_fire<kInstr>(r, res, g);
         } else {
-          try_fire(r, res, g);
-          forward_token(r, res, g, tok);
+          try_fire<kInstr>(r, res, g);
+          forward_token<kInstr>(r, res, g, tok);
         }
         return;
 
       case Command::MemoryToken:
         if (hold) {
           n.buffered.push_back(tok);
-          note_buffered(r, g, n);
+          note_buffered<kInstr>(res, g, n);
           return;
         }
         if (flag(r, g, kPlanOrdered) && !(state[u] & kFired)) {
           n.memory_held = true;
           n.held_memory = tok;
-          try_fire(r, res, g);
+          try_fire<kInstr>(r, res, g);
           return;
         }
-        forward_token(r, res, g, tok);
+        forward_token<kInstr>(r, res, g, tok);
         return;
 
       case Command::RegisterToken: {
         if (hold) {
           n.buffered.push_back(tok);
-          note_buffered(r, g, n);
+          note_buffered<kInstr>(res, g, n);
           return;
         }
         const Group grp = group_of(r, g);
-        const std::int32_t lreg = r.plan->local_reg()[local(r, g)];
+        const std::int32_t lreg = r.local_reg[local(r, g)];
         if ((grp == Group::LocalRead || grp == Group::LocalInc) &&
             lreg == tok.reg && !(state[u] & kFired) && !n.reg_held) {
           n.reg_held = true;
           n.held_reg = tok;
-          try_fire(r, res, g);
+          try_fire<kInstr>(r, res, g);
           return;
         }
         if (grp == Group::LocalWrite && lreg == tok.reg) {
@@ -541,11 +880,11 @@ struct MultiEngine::Impl {
           } else if (n.kill_next_register) {
             n.kill_next_register = false;
           } else {
-            forward_token(r, res, g, tok);
+            forward_token<kInstr>(r, res, g, tok);
           }
           return;
         }
-        forward_token(r, res, g, tok);
+        forward_token<kInstr>(r, res, g, tok);
         return;
       }
 
@@ -553,64 +892,66 @@ struct MultiEngine::Impl {
         if (buffers) {
           if (!(state[u] & kFired)) {
             n.buffered.push_back(tok);
-            note_buffered(r, g, n);
+            note_buffered<kInstr>(res, g, n);
             n.tail_present = true;
-            try_fire(r, res, g);
+            try_fire<kInstr>(r, res, g);
             return;
           }
           if (state[u] & kWaitTailFlush) {
             n.buffered.push_back(tok);
-            note_buffered(r, g, n);
-            flush_up(r, res, g);
+            note_buffered<kInstr>(res, g, n);
+            flush_up<kInstr>(r, res, g);
             return;
           }
-          forward_token(r, res, g, tok);
+          forward_token<kInstr>(r, res, g, tok);
           return;
         }
         if (state[u] & kFired) {
-          forward_token(r, res, g, tok);
+          forward_token<kInstr>(r, res, g, tok);
         } else {
           n.tail_held = true;
           n.held_tail = tok;
-          tail_hold[u] = now;
+          if constexpr (kInstr) tail_hold[u] = now;
         }
         return;
 
       default:
-        forward_token(r, res, g, tok);
+        forward_token<kInstr>(r, res, g, tok);
         return;
     }
   }
 
-  void note_buffered(const ResidentRt& r, std::int32_t g, const NodeRt& n) {
-    if (fab_mx() != nullptr) {
-      fab_mx()->buffer_high_water(phys_g(r, g), n.buffered.size());
+  template <bool kInstr>
+  void note_buffered(std::uint16_t res, std::int32_t g, const NodeRt& n) {
+    if (fab_mx<kInstr>() != nullptr) {
+      fab_mx<kInstr>()->buffer_high_water(phys_g(g), n.buffered.size());
     }
-    if (r.mx != nullptr) {
-      r.mx->buffer_high_water(phys_g(r, g), n.buffered.size());
+    if (res_mx<kInstr>(res) != nullptr) {
+      res_mx<kInstr>(res)->buffer_high_water(phys_g(g), n.buffered.size());
     }
   }
 
-  void on_mesh(ResidentRt& r, std::uint16_t res, std::int32_t g,
+  template <bool kInstr>
+  void on_mesh(Slot& r, std::uint16_t res, std::int32_t g,
                std::uint8_t side, std::int32_t ep, std::int32_t producer) {
     const auto u = static_cast<std::size_t>(g);
     if (epoch[u] != ep) return;  // stale (previous loop iteration)
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::OperandArrive, g,
-                    phys_g(r, g), side, producer});
+    if (tr<kInstr>() != nullptr) {
+      tr<kInstr>()->record({now, obs::TraceEventKind::OperandArrive, g,
+                            phys_g(g), side, producer});
     }
     ++pops[u];
-    try_fire(r, res, g);
+    try_fire<kInstr>(r, res, g);
   }
 
   // ---- firing ----
-  bool fire_ready(const ResidentRt& r, std::int32_t g) const {
+  bool fire_ready(const Slot& r, std::int32_t g) const {
     const auto u = static_cast<std::size_t>(g);
     if (state[u] != kHeadReceived) return false;
     const NodeRt& n = nodes[u];
-    const auto lu = static_cast<std::size_t>(local(r, g));
-    const std::int32_t need = r.plan->pop_need()[lu];
-    switch (static_cast<Group>(r.plan->group()[lu])) {
+    const std::size_t lu = local(r, g);
+    const std::int32_t need = r.pop_need[lu];
+    switch (static_cast<Group>(r.group[lu])) {
       case Group::LocalRead:
       case Group::LocalInc:
         return n.reg_held;
@@ -620,7 +961,7 @@ struct MultiEngine::Impl {
       case Group::Return:
         return pops[u] >= need && n.tail_present;
       case Group::ControlFlow:
-        if ((r.plan->flags()[lu] & kPlanBackwardGoto) != 0) {
+        if ((r.flags[lu] & kPlanBackwardGoto) != 0) {
           return n.tail_present;  // backward GoTo fires on TAIL (§6.3)
         }
         return pops[u] >= need;
@@ -629,37 +970,43 @@ struct MultiEngine::Impl {
     }
   }
 
-  void try_fire(ResidentRt& r, std::uint16_t res, std::int32_t g) {
+  template <bool kInstr>
+  void try_fire(Slot& r, std::uint16_t res, std::int32_t g) {
     if (!fire_ready(r, g)) return;
     const auto u = static_cast<std::size_t>(g);
-    const auto pn = static_cast<std::size_t>(phys_g(r, g));
+    const auto pn = static_cast<std::size_t>(phys_g(g));
     if (idus > 1 && exec_busy[pn]) {
       pending_fire[pn].push_back(g);
+      ++r.pending;
       return;
     }
     exec_busy[pn] = 1;
     state[u] |= kExecuting;
-    exec_delta(r, res, +1);
-    const auto lu = static_cast<std::size_t>(local(r, g));
-    const std::int64_t cost = r.plan->exec_cost_ticks()[lu];
-    const std::uint8_t opb = r.plan->op()[lu];
-    const std::uint8_t grpb = r.plan->group()[lu];
-    if (fab_mx() != nullptr) {
-      note_fire(*fab_mx(), static_cast<std::int32_t>(pn), opb, grpb, cost, u);
-    }
-    if (r.mx != nullptr) {
-      note_fire(*r.mx, static_cast<std::int32_t>(pn), opb, grpb, cost, u);
-    }
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::FireStart, g,
-                    static_cast<std::int32_t>(pn), grpb, cost});
+    exec_delta(res, +1);
+    const std::size_t lu = local(r, g);
+    const std::int64_t cost = r.exec_cost[lu];
+    if constexpr (kInstr) {
+      const std::uint8_t opb = r.op[lu];
+      const std::uint8_t grpb = r.group[lu];
+      if (fab_mx<kInstr>() != nullptr) {
+        note_fire(*fab_mx<kInstr>(), static_cast<std::int32_t>(pn), opb,
+                  grpb, cost, u);
+      }
+      if (res_mx<kInstr>(res) != nullptr) {
+        note_fire(*res_mx<kInstr>(res), static_cast<std::int32_t>(pn), opb,
+                  grpb, cost, u);
+      }
+      if (tr<kInstr>() != nullptr) {
+        tr<kInstr>()->record({now, obs::TraceEventKind::FireStart, g,
+                              static_cast<std::int32_t>(pn), grpb, cost});
+      }
     }
     Event ev;
     ev.set(EvKind::ExecDone);
     ev.node = g;
     ev.res = res;
     ev.tick = now + cost;
-    cal.push(ev);
+    push(r, ev);
   }
 
   void note_fire(obs::MetricsRegistry& mx, std::int32_t pn, std::uint8_t opb,
@@ -669,9 +1016,9 @@ struct MultiEngine::Impl {
     if (head_tick[u] >= 0) mx.fire_stall_ticks.record(now - head_tick[u]);
   }
 
+  template <bool kInstr>
   void release_execution_unit(std::int32_t g) {
-    const ResidentRt& owner = residents[res_of[static_cast<std::size_t>(g)]];
-    const auto pn = static_cast<std::size_t>(phys_g(owner, g));
+    const auto pn = static_cast<std::size_t>(phys_g(g));
     exec_busy[pn] = 0;
     if (idus <= 1) return;
     auto& pending = pending_fire[pn];
@@ -679,176 +1026,190 @@ struct MultiEngine::Impl {
       const std::int32_t next = pending.front();
       pending.erase(pending.begin());
       const std::uint16_t nres = res_of[static_cast<std::size_t>(next)];
-      if (residents[nres].done) continue;  // stale: owner finished
-      try_fire(residents[nres], nres, next);
+      if (slots[nres].done) continue;  // stale: owner finished
+      --slots[nres].pending;
+      try_fire<kInstr>(slots[nres], nres, next);
+      check_stuck(slots[nres], nres);
       if (exec_busy[pn]) break;
     }
   }
 
-  void mark_fired(ResidentRt& r, std::int32_t g) {
+  void mark_fired(Slot& r, std::int32_t g) {
     state[static_cast<std::size_t>(g)] |= kFired;
     ++r.fired;
     distinct[static_cast<std::size_t>(g)] = 1;
   }
 
-  void post_fire_releases(ResidentRt& r, std::uint16_t res, std::int32_t g) {
+  template <bool kInstr>
+  void post_fire_releases(Slot& r, std::uint16_t res, std::int32_t g) {
     const auto u = static_cast<std::size_t>(g);
     NodeRt& n = nodes[u];
     const Group grp = group_of(r, g);
     if (grp == Group::LocalRead || grp == Group::LocalInc) {
       if (n.reg_held) {
         n.reg_held = false;
-        forward_token(r, res, g, n.held_reg);
+        forward_token<kInstr>(r, res, g, n.held_reg);
       }
     }
     if (grp == Group::LocalWrite) {
-      forward_token(r, res, g,
-                    Token{Command::RegisterToken,
-                          r.plan->local_reg()[local(r, g)]});
+      forward_token<kInstr>(
+          r, res, g, Token{Command::RegisterToken, r.local_reg[local(r, g)]});
       if (!n.write_absorbed) n.kill_next_register = true;
     }
     if (n.memory_held) {
       n.memory_held = false;
-      forward_token(r, res, g, n.held_memory);
+      forward_token<kInstr>(r, res, g, n.held_memory);
     }
     if (n.tail_held) {
       n.tail_held = false;
-      if (tail_hold[u] >= 0) {
-        if (fab_mx() != nullptr) {
-          fab_mx()->tail_hold_ticks.record(now - tail_hold[u]);
+      if constexpr (kInstr) {
+        if (tail_hold[u] >= 0) {
+          if (fab_mx<kInstr>() != nullptr) {
+            fab_mx<kInstr>()->tail_hold_ticks.record(now - tail_hold[u]);
+          }
+          if (res_mx<kInstr>(res) != nullptr) {
+            res_mx<kInstr>(res)->tail_hold_ticks.record(now - tail_hold[u]);
+          }
+          tail_hold[u] = -1;
         }
-        if (r.mx != nullptr) r.mx->tail_hold_ticks.record(now - tail_hold[u]);
-        tail_hold[u] = -1;
       }
-      forward_token(r, res, g, n.held_tail);
+      forward_token<kInstr>(r, res, g, n.held_tail);
     }
   }
 
-  void record_service(ResidentRt& r, std::int32_t g, net::RingService svc,
-                      std::int64_t ticks) {
-    if (fab_mx() != nullptr) {
-      ++fab_mx()->ring_requests[static_cast<std::size_t>(svc)];
-      fab_mx()->ring_latency_ticks[static_cast<std::size_t>(svc)].record(
-          ticks);
+  template <bool kInstr>
+  void record_service(std::uint16_t res, std::int32_t g,
+                      net::RingService svc, std::int64_t ticks) {
+    if (fab_mx<kInstr>() != nullptr) {
+      ++fab_mx<kInstr>()->ring_requests[static_cast<std::size_t>(svc)];
+      fab_mx<kInstr>()->ring_latency_ticks[static_cast<std::size_t>(svc)]
+          .record(ticks);
     }
-    if (r.mx != nullptr) {
-      ++r.mx->ring_requests[static_cast<std::size_t>(svc)];
-      r.mx->ring_latency_ticks[static_cast<std::size_t>(svc)].record(ticks);
+    if (res_mx<kInstr>(res) != nullptr) {
+      obs::MetricsRegistry& mx = *res_mx<kInstr>(res);
+      ++mx.ring_requests[static_cast<std::size_t>(svc)];
+      mx.ring_latency_ticks[static_cast<std::size_t>(svc)].record(ticks);
     }
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::ServiceStart, g, phys_g(r, g),
-                    static_cast<std::uint8_t>(svc), ticks});
+    if (tr<kInstr>() != nullptr) {
+      tr<kInstr>()->record({now, obs::TraceEventKind::ServiceStart, g,
+                            phys_g(g), static_cast<std::uint8_t>(svc),
+                            ticks});
     }
   }
 
-  void on_exec_done(ResidentRt& r, std::uint16_t res, std::int32_t g) {
+  template <bool kInstr>
+  void on_exec_done(Slot& r, std::uint16_t res, std::int32_t g) {
     const auto u = static_cast<std::size_t>(g);
     NodeRt& n = nodes[u];
     state[u] &= static_cast<std::uint8_t>(~kExecuting);
-    exec_delta(r, res, -1);
-    release_execution_unit(g);
+    exec_delta(res, -1);
+    release_execution_unit<kInstr>(g);
     const Group grp = group_of(r, g);
-    if (tr() != nullptr) {
-      tr()->record({now, obs::TraceEventKind::FireComplete, g, phys_g(r, g),
-                    static_cast<std::uint8_t>(grp), 0});
+    if (tr<kInstr>() != nullptr) {
+      tr<kInstr>()->record({now, obs::TraceEventKind::FireComplete, g,
+                            phys_g(g), static_cast<std::uint8_t>(grp), 0});
     }
 
     const bool sw = flag(r, g, kPlanSwitch);
     if (grp == Group::ControlFlow || sw) {
-      resolve_control(r, res, g);
+      resolve_control<kInstr>(r, res, g);
       return;
     }
     if (grp == Group::Return) {
       mark_fired(r, g);
-      complete_resident(r, res);
+      complete_resident(res);
       return;
     }
     if (grp == Group::Call || grp == Group::Special) {
       state[u] |= kInService;
       const std::int64_t svc_ticks = k * cfg.ring.gpp_service;
-      record_service(r, g, net::RingService::GppService, svc_ticks);
+      record_service<kInstr>(res, g, net::RingService::GppService,
+                             svc_ticks);
       Event ev;
       ev.set(EvKind::ServiceDone);
       ev.node = g;
       ev.res = res;
-      ev.tick = ring_done(r, res, net::RingService::GppService, svc_ticks,
+      ev.tick = ring_done(res, net::RingService::GppService, svc_ticks,
                           /*blocking=*/true);
-      cal.push(ev);
+      push(r, ev);
       return;
     }
     if (grp == Group::MemRead) {
       state[u] |= kInService;
       if (n.memory_held) {
         n.memory_held = false;
-        forward_token(r, res, g, n.held_memory);
+        forward_token<kInstr>(r, res, g, n.held_memory);
       }
       const std::int64_t svc_ticks = k * cfg.ring.memory_read;
-      record_service(r, g, net::RingService::MemoryRead, svc_ticks);
+      record_service<kInstr>(res, g, net::RingService::MemoryRead,
+                             svc_ticks);
       Event ev;
       ev.set(EvKind::ServiceDone);
       ev.node = g;
       ev.res = res;
-      ev.tick = ring_done(r, res, net::RingService::MemoryRead, svc_ticks,
+      ev.tick = ring_done(res, net::RingService::MemoryRead, svc_ticks,
                           /*blocking=*/true);
-      cal.push(ev);
+      push(r, ev);
       return;
     }
     if (grp == Group::MemWrite) {
       const std::int64_t svc_ticks = k * cfg.ring.memory_write;
-      record_service(r, g, net::RingService::MemoryWrite, svc_ticks);
+      record_service<kInstr>(res, g, net::RingService::MemoryWrite,
+                             svc_ticks);
       // Posted: the channel is reserved but the node never waits.
-      ring_done(r, res, net::RingService::MemoryWrite, svc_ticks,
+      ring_done(res, net::RingService::MemoryWrite, svc_ticks,
                 /*blocking=*/false);
       mark_fired(r, g);
-      post_fire_releases(r, res, g);
+      post_fire_releases<kInstr>(r, res, g);
       return;
     }
     mark_fired(r, g);
-    send_mesh(r, res, g);
-    post_fire_releases(r, res, g);
+    send_mesh<kInstr>(r, res, g);
+    post_fire_releases<kInstr>(r, res, g);
   }
 
-  void on_service_done(ResidentRt& r, std::uint16_t res, std::int32_t g) {
+  template <bool kInstr>
+  void on_service_done(Slot& r, std::uint16_t res, std::int32_t g) {
     const auto u = static_cast<std::size_t>(g);
     state[u] &= static_cast<std::uint8_t>(~kInService);
-    if (tr() != nullptr) {
+    if (tr<kInstr>() != nullptr) {
       const net::RingService svc = group_of(r, g) == Group::MemRead
                                        ? net::RingService::MemoryRead
                                        : net::RingService::GppService;
-      tr()->record({now, obs::TraceEventKind::ServiceComplete, g,
-                    phys_g(r, g), static_cast<std::uint8_t>(svc), 0});
+      tr<kInstr>()->record({now, obs::TraceEventKind::ServiceComplete, g,
+                            phys_g(g), static_cast<std::uint8_t>(svc), 0});
     }
     mark_fired(r, g);
-    send_mesh(r, res, g);
-    post_fire_releases(r, res, g);
+    send_mesh<kInstr>(r, res, g);
+    post_fire_releases<kInstr>(r, res, g);
   }
 
-  void resolve_control(ResidentRt& r, std::uint16_t res, std::int32_t g) {
+  template <bool kInstr>
+  void resolve_control(Slot& r, std::uint16_t res, std::int32_t g) {
     const auto u = static_cast<std::size_t>(g);
     NodeRt& n = nodes[u];
-    const auto lu = static_cast<std::size_t>(local(r, g));
+    const std::size_t lu = local(r, g);
+    const auto lg = static_cast<std::int32_t>(lu);
+    Cold& c = cold[res];
     std::int32_t target;  // global node index
     if (flag(r, g, kPlanGoto)) {
-      target = r.base + r.plan->target()[lu];
+      target = r.base + r.target[lu];
     } else if (flag(r, g, kPlanSwitch)) {
       const bytecode::SwitchTable& table =
-          r.method->switches[static_cast<std::size_t>(
-              r.plan->operand()[lu])];
+          c.method->switches[static_cast<std::size_t>(r.operand[lu])];
       const auto arms = static_cast<std::int32_t>(table.targets.size()) + 1;
       // Predictor sites are keyed by the method-local node id, so a
       // shared plan's residencies replay the same decision streams as a
       // single-method run (determinism and N=1 parity both need this).
-      const std::int32_t pick =
-          r.predictor.decide_switch(local(r, g), arms);
+      const std::int32_t pick = c.predictor.decide_switch(lg, arms);
       target = r.base +
                (pick < static_cast<std::int32_t>(table.targets.size())
                     ? table.targets[static_cast<std::size_t>(pick)]
                     : table.default_target);
     } else {
-      const auto kind =
-          static_cast<BranchKind>(r.plan->branch_kinds()[lu]);
-      const bool taken = r.predictor.decide(local(r, g), kind);
-      target = taken ? r.base + r.plan->target()[lu] : g + 1;
+      const auto kind = static_cast<BranchKind>(r.branch_kinds[lu]);
+      const bool taken = c.predictor.decide(lg, kind);
+      target = taken ? r.base + r.target[lu] : g + 1;
     }
 
     mark_fired(r, g);
@@ -856,37 +1217,41 @@ struct MultiEngine::Impl {
       fwd[u] = target;
       std::int64_t idx = 0;
       for (std::size_t bi = 0; bi < n.buffered.size(); ++bi) {
-        send_serial(r, res, g, n.buffered[bi], target,
-                    hop == 0 ? 0 : idx++);
+        send_serial<kInstr>(r, res, g, n.buffered[bi], target,
+                            hop == 0 ? 0 : idx++);
       }
       n.buffered.clear();
       return;
     }
     state[u] |= kWaitTailFlush;
     n.decided_target = target;
-    if (n.tail_present) flush_up(r, res, g);
+    if (n.tail_present) flush_up<kInstr>(r, res, g);
   }
 
+  template <bool kInstr>
   void reset_node(std::int32_t g) {
     const auto u = static_cast<std::size_t>(g);
     state[u] = 0;
     pops[u] = 0;
     ++epoch[u];
     fwd[u] = g + 1;
-    head_tick[u] = -1;
-    tail_hold[u] = -1;
+    if constexpr (kInstr) {
+      head_tick[u] = -1;
+      tail_hold[u] = -1;
+    }
     nodes[u].reset_cold();
   }
 
-  void flush_up(ResidentRt& r, std::uint16_t res, std::int32_t g) {
+  template <bool kInstr>
+  void flush_up(Slot& r, std::uint16_t res, std::int32_t g) {
     NodeRt& n = nodes[static_cast<std::size_t>(g)];
     const std::int32_t target = n.decided_target;
     flush_scratch.clear();
     flush_scratch.swap(n.buffered);
-    for (std::int32_t i = target; i <= g; ++i) reset_node(i);
+    for (std::int32_t i = target; i <= g; ++i) reset_node<kInstr>(i);
     std::int64_t idx = 0;
     for (const Token& tok : flush_scratch) {
-      send_serial(r, res, g, tok, target, hop == 0 ? 0 : idx++);
+      send_serial<kInstr>(r, res, g, tok, target, hop == 0 ? 0 : idx++);
     }
   }
 
@@ -896,26 +1261,19 @@ struct MultiEngine::Impl {
   // residency's RunMetrics match bit for bit); the fabric-level pair
   // and the distinct-residency pair integrate the same spans over the
   // global counters.
-  void exec_delta(ResidentRt& r, std::uint16_t res, int delta) {
-    (void)res;
-    const std::int64_t span = now - fab_last;
-    if (span > 0) {
-      if (fab_active >= 1) fab_acc1 += span;
-      if (fab_active >= 2) fab_acc2 += span;
-      if (res_exec_count >= 1) res_acc1 += span;
-      if (res_exec_count >= 2) res_acc2 += span;
+  void exec_delta(std::uint16_t res, int delta) {
+    flush_fabric_accounting();
+    Cold& c = cold[res];
+    if (!slots[res].done) {
+      if (c.active_exec >= 1) c.acc1 += now - c.last_change;
+      if (c.active_exec >= 2) c.acc2 += now - c.last_change;
+      c.last_change = now;
     }
-    fab_last = now;
-    if (!r.done) {
-      if (r.active_exec >= 1) r.acc1 += now - r.last_change;
-      if (r.active_exec >= 2) r.acc2 += now - r.last_change;
-      r.last_change = now;
-    }
-    const int before = r.active_exec;
-    r.active_exec += delta;
+    const int before = c.active_exec;
+    c.active_exec += delta;
     fab_active += delta;
-    if (before == 0 && r.active_exec > 0) ++res_exec_count;
-    if (before > 0 && r.active_exec == 0) --res_exec_count;
+    if (before == 0 && c.active_exec > 0) ++res_exec_count;
+    if (before > 0 && c.active_exec == 0) --res_exec_count;
   }
 
   void flush_fabric_accounting() {
@@ -930,32 +1288,45 @@ struct MultiEngine::Impl {
   }
 
   // ---- completion ----
-  void complete_resident(ResidentRt& r, std::uint16_t res) {
-    r.completed = true;
-    r.end_tick = now;
-    finalize_resident(r, res);
-    completed_queue.push_back(static_cast<ResidentId>(res));
+  void complete_resident(std::uint16_t res) {
+    Cold& c = cold[res];
+    c.completed = true;
+    c.end_tick = now;
+    // Nothing may read the plan once advance() has returned the
+    // residency, so its pending transit is written out now.
+    if (slots[res].sealed && slots[res].inflight > 0) materialize(res);
+    finalize_resident(res);
+    queue_completion(res);
   }
 
-  void finalize_resident(ResidentRt& r, std::uint16_t res) {
+  void queue_completion(std::uint16_t res) {
+    completions.push_back(static_cast<ResidentId>(res));
+    completion_queued = true;
+  }
+
+  void finalize_resident(std::uint16_t res) {
     // Freeze this residency's overlap accounting at the current tick
     // (matching the single engine's end-of-run flush), then fill the
     // outcome. In-flight executions keep their IEUs busy until their
     // ExecDone events drain; those spans still count at fabric level.
-    if (r.active_exec >= 1) r.acc1 += now - r.last_change;
-    if (r.active_exec >= 2) r.acc2 += now - r.last_change;
-    r.last_change = now;
+    Slot& r = slots[res];
+    Cold& c = cold[res];
+    if (c.active_exec >= 1) c.acc1 += now - c.last_change;
+    if (c.active_exec >= 2) c.acc2 += now - c.last_change;
+    c.last_change = now;
     r.done = true;
+    r.sealed = false;
     --running;
+    if (c.mx != nullptr) --instr_live;
 
     RunMetrics mm;
     mm.fits = true;
-    mm.completed = r.completed;
-    mm.timed_out = r.timed_out;
+    mm.completed = c.completed;
+    mm.timed_out = c.timed_out;
     mm.exception = false;
-    mm.static_size = static_cast<std::int32_t>(r.method->code.size());
-    mm.max_slot = r.plan->max_slot() + r.slot_delta;
-    mm.ticks = (r.completed ? r.end_tick : now) - r.inject_tick;
+    mm.static_size = static_cast<std::int32_t>(c.method->code.size());
+    mm.max_slot = c.plan->max_slot() + c.slot_delta;
+    mm.ticks = (c.completed ? c.end_tick : now) - c.inject_tick;
     mm.mesh_cycles = std::max<std::int64_t>(1, (mm.ticks + k - 1) / k);
     mm.instructions_fired = r.fired;
     mm.distinct_fired = static_cast<std::int32_t>(
@@ -963,39 +1334,80 @@ struct MultiEngine::Impl {
                    distinct.begin() + r.base + r.count, 1));
     mm.mesh_messages = r.mesh_msgs;
     mm.serial_messages = r.serial_msgs;
-    mm.ticks_exec_1plus = r.acc1;
-    mm.ticks_exec_2plus = r.acc2;
-    if (fab_mx() != nullptr) ++fab_mx()->runs;
-    if (r.mx != nullptr) ++r.mx->runs;
+    mm.ticks_exec_1plus = c.acc1;
+    mm.ticks_exec_2plus = c.acc2;
+    if (opt.metrics != nullptr) ++opt.metrics->runs;
+    if (c.mx != nullptr) ++c.mx->runs;
 
-    ResidentOutcome& out = outcomes[res];
+    ResidentOutcome& out = outcomes[c.outcome];
     out.metrics = mm;
-    out.completed_tick = r.completed ? r.end_tick : -1;
-    out.serial_wait_ticks = r.serial_wait;
-    out.mesh_wait_ticks = r.mesh_wait;
-    out.ring_wait_ticks = r.ring_wait;
+    out.completed_tick = c.completed ? c.end_tick : -1;
+    out.serial_wait_ticks = c.serial_wait;
+    out.mesh_wait_ticks = c.mesh_wait;
+    out.ring_wait_ticks = c.ring_wait;
+    settle(res);
+  }
+
+  // Running residencies in admission order (ids are recycled, so id
+  // order is not admission order).
+  std::vector<std::uint16_t> running_in_admission_order() const {
+    std::vector<std::uint16_t> ids;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (cold[i].live && !slots[i].done) {
+        ids.push_back(static_cast<std::uint16_t>(i));
+      }
+    }
+    std::sort(ids.begin(), ids.end(), [&](std::uint16_t a, std::uint16_t b) {
+      return cold[a].outcome < cold[b].outcome;
+    });
+    return ids;
   }
 
   void timeout_all(std::int64_t over_tick) {
     now = over_tick;
     cal.set_cursor(over_tick);
-    for (std::size_t i = 0; i < residents.size(); ++i) {
-      ResidentRt& r = residents[i];
-      if (r.done) continue;
-      r.timed_out = true;
-      finalize_resident(r, static_cast<std::uint16_t>(i));
-      completed_queue.push_back(static_cast<ResidentId>(i));
-    }
-    // Drop every undrained event: all owners are finished.
+    // Drop every undrained event: all owners are finished below.
     cal.clear();
     bucket_pos = 0;
+    for (std::size_t i = 0; i < slots.size(); ++i) slots[i].inflight = 0;
+    for (const std::uint16_t res : running_in_admission_order()) {
+      cold[res].timed_out = true;
+      finalize_resident(res);
+      queue_completion(res);
+    }
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (cold[i].live) settle(static_cast<std::uint16_t>(i));
+    }
+  }
+
+  // A running residency with no event in flight and no node queued for
+  // an execution unit can never act again: every handler runs on one of
+  // its own events, and other residencies only reach it by freeing a
+  // unit it queued for. It is finalized as timed out and deadlocked at
+  // once, with the nodes that hold HEAD unfired as witness.
+  void check_stuck(const Slot& r, std::uint16_t res) {
+    if (r.inflight == 0 && r.pending == 0 && !r.done) declare_deadlock(res);
+  }
+
+  void declare_deadlock(std::uint16_t res) {
+    const Slot& r = slots[res];
+    ResidentOutcome& out = outcomes[cold[res].outcome];
+    out.deadlocked = true;
+    out.deadlock_tick = now;
+    for (std::int32_t g = r.base; g < r.base + r.count; ++g) {
+      const std::uint8_t st = state[static_cast<std::size_t>(g)];
+      if ((st & kHeadReceived) != 0 && (st & kFired) == 0) {
+        out.stuck_nodes.push_back(g - r.base);
+      }
+    }
+    cold[res].timed_out = true;
+    finalize_resident(res);
+    queue_completion(res);
   }
 
   MultiRunMetrics finish() {
-    for (std::size_t i = 0; i < residents.size(); ++i) {
-      if (!residents[i].done) {
-        finalize_resident(residents[i], static_cast<std::uint16_t>(i));
-      }
+    for (const std::uint16_t res : running_in_admission_order()) {
+      finalize_resident(res);
     }
     flush_fabric_accounting();
     finished = true;
@@ -1006,11 +1418,13 @@ struct MultiEngine::Impl {
     agg.ticks_exec_2plus = fab_acc2;
     agg.ticks_res_1plus = res_acc1;
     agg.ticks_res_2plus = res_acc2;
-    for (const ResidentRt& r : residents) {
-      agg.serial_wait_ticks += r.serial_wait;
-      agg.mesh_wait_ticks += r.mesh_wait;
-      agg.ring_wait_ticks += r.ring_wait;
+    for (const ResidentOutcome& out : outcomes) {
+      agg.serial_wait_ticks += out.serial_wait_ticks;
+      agg.mesh_wait_ticks += out.mesh_wait_ticks;
+      agg.ring_wait_ticks += out.ring_wait_ticks;
     }
+    agg.sealed_admissions = sealed_admissions;
+    agg.transit_rebuilds = transit_rebuilds;
     return agg;
   }
 };
@@ -1039,7 +1453,7 @@ bool MultiEngine::idle() const noexcept { return impl_->cal.live() == 0; }
 std::int64_t MultiEngine::now() const noexcept { return impl_->cal.cursor(); }
 
 std::size_t MultiEngine::resident_count() const noexcept {
-  return impl_->residents.size();
+  return impl_->outcomes.size();
 }
 
 std::size_t MultiEngine::running_count() const noexcept {
@@ -1047,11 +1461,11 @@ std::size_t MultiEngine::running_count() const noexcept {
 }
 
 const ResidentOutcome* MultiEngine::outcome(ResidentId r) const noexcept {
-  if (r < 0 || static_cast<std::size_t>(r) >= impl_->residents.size() ||
-      !impl_->residents[static_cast<std::size_t>(r)].done) {
+  if (r < 0 || static_cast<std::size_t>(r) >= impl_->slots.size() ||
+      !impl_->slots[static_cast<std::size_t>(r)].done) {
     return nullptr;
   }
-  return &impl_->outcomes[static_cast<std::size_t>(r)];
+  return &impl_->outcomes[impl_->cold[static_cast<std::size_t>(r)].outcome];
 }
 
 MultiRunMetrics MultiEngine::finish() { return impl_->finish(); }

@@ -32,6 +32,13 @@
 // the handlers and timing model are the same code shapes over the same
 // shared detail::Event record, and both kernels order events with the
 // one detail::CalendarQueue (sim/engine_internal.hpp).
+//
+// Transit cost: a residency whose link footprint no other live
+// residency shares is *sealed* — its serial and mesh transit is the
+// closed form Engine uses and writes no per-link reservations. An
+// admission that overlaps it first rebuilds those reservations from the
+// residency's in-flight events, so contended timing is unchanged
+// (docs/SERVING.md "Sealed residencies").
 #pragma once
 
 #include <cstdint>
@@ -62,8 +69,10 @@ namespace javaflow::sim {
 // semantics must invalidate cached single-method sweep records too.
 inline constexpr std::uint32_t kMultiEngineFingerprint = 1;
 
-// Dense per-fabric residency index (not FabricManager::MethodId — a
-// method re-admitted after idling gets a fresh ResidentId per run).
+// Dense per-fabric residency index (not FabricManager::MethodId). An id
+// is recycled, with its node lanes, once its residency has finished,
+// advance() has returned it, and none of its events is in flight; a
+// later admission may then receive the same id.
 using ResidentId = std::int32_t;
 
 // Per-residency result. `metrics` is bit-identical to a plain
@@ -75,6 +84,13 @@ struct ResidentOutcome {
   RunMetrics metrics;
   std::int64_t admitted_tick = 0;
   std::int64_t completed_tick = -1;  // -1 if timed out / never finished
+  // The residency's last event drained with none of its nodes queued for
+  // an execution unit, so it could never act again. Reported with
+  // metrics.timed_out set, plus a witness: that drain tick and the
+  // method-local nodes that hold HEAD but never fired.
+  bool deadlocked = false;
+  std::int64_t deadlock_tick = -1;
+  std::vector<std::int32_t> stuck_nodes;
   // Ticks this residency's tokens spent queued behind *other*
   // residencies' traffic, by shared resource.
   std::int64_t serial_wait_ticks = 0;
@@ -98,6 +114,11 @@ struct MultiRunMetrics {
   std::int64_t serial_wait_ticks = 0;
   std::int64_t mesh_wait_ticks = 0;
   std::int64_t ring_wait_ticks = 0;
+  // Transit bookkeeping (docs/SERVING.md "Sealed residencies"):
+  // admissions that started sealed, and sealed residencies whose
+  // in-flight transit was rebuilt into link reservations.
+  std::int64_t sealed_admissions = 0;
+  std::int64_t transit_rebuilds = 0;
 };
 
 struct MultiEngineOptions {
@@ -116,7 +137,8 @@ class MultiEngine {
   // `until` sentinel for advance(): run until the calendar drains.
   static constexpr std::int64_t kNoLimit =
       std::numeric_limits<std::int64_t>::max() / 4;
-  // Event::res is 16 bits (sim/engine_internal.hpp).
+  // Event::res is 16 bits (sim/engine_internal.hpp): the cap on
+  // residencies alive at once (ids are recycled, so not on admissions).
   static constexpr std::int32_t kMaxResidents = 65535;
 
   explicit MultiEngine(MachineConfig config, MultiEngineOptions options = {});
@@ -125,10 +147,11 @@ class MultiEngine {
   ~MultiEngine();
 
   // Injects a residency's token bundle at max(start_tick, now()). The
-  // plan must fit and stay alive (read-only) for the engine's lifetime;
-  // `phys_delta` rebases every physical-node index in the plan (0 for a
-  // dedicated plan, rows*width/idus-aligned for a shared canonical
-  // plan). Returns -1 when the residency cap is exhausted.
+  // plan must fit and stay alive (read-only) until advance() returns
+  // the residency; `phys_delta` rebases every physical-node index in the
+  // plan (0 for a dedicated plan, rows*width/idus-aligned for a shared
+  // canonical plan). Returns -1 for an unfit plan or when kMaxResidents
+  // residencies are alive at once.
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,
@@ -136,10 +159,11 @@ class MultiEngine {
                    obs::MetricsRegistry* resident_metrics = nullptr);
 
   // Processes events in (tick, seq) order while tick < until. Returns
-  // as soon as one residency completes (drain remaining completions by
-  // calling again), or nullopt once the clock reaches `until` / the
-  // calendar drains. Resumable: admissions may be interleaved between
-  // calls at the paused tick.
+  // as soon as one residency completes, times out, or is found
+  // deadlocked (drain remaining ones by calling again), or nullopt once
+  // the clock reaches `until` / the calendar drains with nothing left
+  // running. Resumable: admissions may be interleaved between calls at
+  // the paused tick.
   std::optional<ResidentId> advance(std::int64_t until = kNoLimit);
 
   bool idle() const noexcept;         // no undrained events
@@ -147,7 +171,9 @@ class MultiEngine {
   std::size_t resident_count() const noexcept;  // total ever admitted
   std::size_t running_count() const noexcept;   // not yet finished
 
-  // Valid once the residency completed or timed out; null before.
+  // Valid once the residency completed, timed out or deadlocked; null
+  // before. Refers to the latest residency admitted under `r`, so read
+  // it before the next admit() can recycle the id.
   const ResidentOutcome* outcome(ResidentId r) const noexcept;
 
   // Finalizes any still-running residencies (neither completed nor

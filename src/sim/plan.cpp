@@ -57,6 +57,7 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
     // reports fits=false from them) and drop every lane.
     out.max_phys_ = -1;
     out.route_pair_count_ = 0;
+    out.route_phys_min_ = out.route_phys_max_ = -1;
     out.arena_.clear();
     out.group_ = out.op_ = out.flags_ = out.branch_kinds_ = nullptr;
     out.pop_need_ = out.local_reg_ = out.slot_ = out.phys_ = nullptr;
@@ -131,6 +132,13 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
   edge_begin_.push_back(static_cast<std::int32_t>(edges_.size()));
   const std::size_t ne = edges_.size();
   const std::size_t nl = links_.size();
+  out.route_phys_min_ = out.route_phys_max_ = -1;
+  for (const PlanRouteLink& l : links_) {
+    if (out.route_phys_min_ < 0 || l.src_phys < out.route_phys_min_) {
+      out.route_phys_min_ = l.src_phys;
+    }
+    out.route_phys_max_ = std::max(out.route_phys_max_, l.src_phys);
+  }
 
   // Consumer-major operand view of the same arcs (bound analyzer).
   oper_begin_.assign(nn + 1, 0);

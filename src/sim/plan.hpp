@@ -141,6 +141,11 @@ class ExecPlan {
 
   // ---- precomputed X-Y routes ----
   const PlanRouteLink* route_links() const noexcept { return route_links_; }
+  // Smallest and largest src_phys over every route link, in the plan's
+  // own frame: the physical span of the mesh links the plan can occupy
+  // (both -1 when no edge leaves its node).
+  std::int32_t route_phys_min() const noexcept { return route_phys_min_; }
+  std::int32_t route_phys_max() const noexcept { return route_phys_max_; }
 
   // Serial-chain transit in ticks from one node's physical slot to
   // another's, mirroring the engine exactly: the bundle anchor sits at
@@ -202,6 +207,8 @@ class ExecPlan {
   std::int32_t max_locals_ = 0;
   std::int64_t service_ticks_[4] = {0, 0, 0, 0};
   std::int32_t route_pair_count_ = 0;
+  std::int32_t route_phys_min_ = -1;
+  std::int32_t route_phys_max_ = -1;
 
   const std::uint8_t* group_ = nullptr;
   const std::uint8_t* op_ = nullptr;

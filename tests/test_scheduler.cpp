@@ -130,38 +130,78 @@ TEST(CalendarQueue, PerTickDrainMatchesHeapOrder) {
   }
 }
 
-// MultiEngine's protocol (MultiEngine::Impl::advance): one event per
-// step through a dispatched-prefix index, and — between waves — the
-// idle path that clears the cursor's bucket and jumps the cursor ahead
-// before new events arrive at the new cursor tick.
+// MultiEngine's protocol (MultiEngine::Impl::run): the same per-tick
+// index scan, but it pauses right after some events — as it does when
+// a residency finishes — keeps the dispatched prefix, and resumes there
+// (sometimes after pushing more events at the paused tick, as an
+// admission does). Between waves the idle path clears the cursor's
+// bucket and jumps the cursor ahead with advance_to().
 TEST(CalendarQueue, SingleEventDrainMatchesHeapOrder) {
   for (const std::uint64_t seed : {4u, 5u, 6u}) {
     Oracle o(seed);
     o.cal.reset(64);
+    std::mt19937_64 pause(seed);
     std::size_t pos = 0;
+    int pauses = 0;
     for (int wave = 0; wave < 3; ++wave) {
       o.seed_wave(o.cal.cursor(), 150);
       while (o.cal.live() > 0) {
-        o.cal.migrate_overflow();
-        const std::vector<Event>& bucket = o.cal.current();
-        if (pos >= bucket.size()) {
-          o.cal.clear_current();
-          pos = 0;
-          o.cal.advance_to(o.cal.next_pending_tick());
+        std::vector<Event>& bucket = o.cal.current();
+        if (pos < bucket.size()) {
+          const std::size_t from = pos;
+          bool paused = false;
+          do {
+            const Event ev = bucket[pos++];
+            o.dispatch(ev, o.cal.cursor());
+            if (HasFatalFailure()) return;
+            paused = pause() % 8 == 0;
+          } while (pos < bucket.size() && !paused);
+          o.cal.consumed(static_cast<std::int64_t>(pos - from));
+          if (paused) {
+            ++pauses;
+            if (pause() % 2 == 0) o.push(o.cal.cursor());
+          }
           continue;
         }
-        const Event ev = bucket[pos++];
-        o.cal.consumed(1);
-        o.dispatch(ev, o.cal.cursor());
-        if (HasFatalFailure()) return;
+        o.cal.clear_current();
+        pos = 0;
+        if (o.cal.live() == 0) break;
+        o.cal.advance_to(o.cal.next_pending_tick());
       }
       o.cal.clear_current();
       pos = 0;
-      o.cal.set_cursor(o.cal.cursor() + 500);
+      o.cal.advance_to(o.cal.cursor() + 500);
     }
     EXPECT_TRUE(o.done()) << "seed " << seed;
     EXPECT_EQ(o.popped(), o.pushed()) << "seed " << seed;
+    EXPECT_GT(pauses, 100) << "seed " << seed;
   }
+}
+
+// A cursor jump over pending events must migrate the spilled ones whose
+// tick entered the window before anything is pushed there: an event
+// pushed later at the same tick has a larger seq and must come after.
+TEST(CalendarQueue, CursorJumpKeepsSpilledEventsFirst) {
+  CalendarQueue q;
+  q.reset(64);
+  Event spilled;
+  spilled.tick = 100;  // beyond the window [0, 64): overflow
+  spilled.node = 1;
+  q.push(spilled);
+  q.advance_to(90);  // 100 is now inside [90, 154)
+  Event later;
+  later.tick = 100;
+  later.node = 2;
+  q.push(later);
+  ASSERT_GT(later.seq, spilled.seq);
+  EXPECT_EQ(q.next_pending_tick(), 100);
+  q.advance_to(100);
+  const std::vector<Event>& bucket = q.current();
+  ASSERT_EQ(bucket.size(), 2u);
+  EXPECT_EQ(bucket[0].node, 1);
+  EXPECT_EQ(bucket[0].seq, spilled.seq);
+  EXPECT_EQ(bucket[1].node, 2);
+  EXPECT_EQ(bucket[1].seq, later.seq);
 }
 
 TEST(CalendarQueue, ResetDropsPendingEventsAndRewinds) {

@@ -5,7 +5,9 @@
 //     bit for bit (RunMetrics field for field), any row-aligned shifted
 //     residency must match modulo its slot offset, and co-resident
 //     methods must genuinely overlap (ticks_res_2plus > 0) while every
-//     completion stays deterministic;
+//     completion stays deterministic; sealed (closed-form) transit must
+//     reproduce pinned contended results, stuck residencies must end
+//     classified, and ids must recycle past the 16-bit range;
 //   * core::FabricManager — plan sharing across aligned residencies and
 //     the persistent-engine execute path (tests/test_fabric_manager.cpp
 //     holds the load/unload/GC edge cases);
@@ -14,9 +16,11 @@
 //     across repeated runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -62,6 +66,13 @@ Program loop_program() {
 
 const workloads::Corpus& shared_corpus() {
   static const workloads::Corpus corpus = workloads::make_corpus({});
+  return corpus;
+}
+
+// The 65 hand-written kernels alone (the serve-hot corpus).
+const workloads::Corpus& kernel_corpus() {
+  static const workloads::Corpus corpus =
+      workloads::make_corpus({/*seed=*/20141215, /*total_methods=*/0});
   return corpus;
 }
 
@@ -340,6 +351,239 @@ TEST(MultiEngineTimeout, OverBudgetRunsFinalizeAsTimedOut) {
   EXPECT_TRUE(engine.idle());
 }
 
+// ---- transit sealing, deadlock classification, id recycling ----
+
+// FNV-1a 64 over a multi-tenant run: every outcome's timing, traffic and
+// contention, in completion order, then the fabric aggregate.
+struct RunDigest {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+// The same kernel admitted back to back at staggered ticks onto
+// overlapping rows: every admission after the first overlaps a running
+// residency that took the sealed (closed-form) transit, so its link
+// reservations are rebuilt from its in-flight events and the two
+// contend. The pinned digests and waits were produced by the engine
+// that tracked every link reservation of every residency.
+TEST(MultiEngineTransit, BackToBackOverlapRebuildsSealedTransit) {
+  const workloads::Corpus& corpus = kernel_corpus();
+  const bytecode::Method& m = corpus.program.methods[3];
+  struct Golden {
+    const char* config;
+    std::uint64_t digest;
+    std::int64_t serial_wait;
+  };
+  for (const Golden& want :
+       {Golden{"Compact2", 7363139153688508881ULL, 0},
+        Golden{"Hetero2", 9633313225037556768ULL, 120},
+        Golden{"Sparse2", 13355344237332878167ULL, 28}}) {
+    const sim::MachineConfig cfg = sim::config_by_name(want.config);
+    const fabric::DataflowGraph graph =
+        fabric::build_dataflow_graph(m, corpus.program.pool);
+    const ExecPlan plan = ExecPlanBuilder().build(m, graph, nullptr, cfg);
+    MultiEngine engine(cfg);
+    RunDigest d;
+    const std::int32_t w = cfg.width;
+    const std::int32_t deltas[] = {3 * w, 0, 5 * w, w, 3 * w, 0};
+    std::int64_t t = 0;
+    for (int i = 0; i < 6; ++i) {
+      while (const auto done = engine.advance(t)) {
+        d.add(engine.outcome(*done)->admitted_tick);
+      }
+      engine.admit(m, plan, deltas[i],
+                   i % 2 != 0 ? BranchPredictor::Scenario::BP2
+                              : BranchPredictor::Scenario::BP1,
+                   t);
+      t += 37 + 11 * i;
+    }
+    while (const auto done = engine.advance()) {
+      d.add(engine.outcome(*done)->admitted_tick);
+    }
+    const sim::MultiRunMetrics agg = engine.finish();
+    for (const sim::ResidentOutcome& o : agg.residents) {
+      d.add(o.metrics.ticks);
+      d.add(o.metrics.instructions_fired);
+      d.add(o.completed_tick);
+      d.add(o.serial_wait_ticks);
+      d.add(o.mesh_wait_ticks);
+      d.add(o.ring_wait_ticks);
+      d.add(o.metrics.serial_messages);
+      d.add(o.metrics.mesh_messages);
+    }
+    d.add(agg.fabric_ticks);
+    d.add(agg.ticks_res_2plus);
+    EXPECT_EQ(d.h, want.digest) << want.config;
+    EXPECT_EQ(agg.serial_wait_ticks, want.serial_wait) << want.config;
+    EXPECT_GT(agg.transit_rebuilds, 0) << want.config;
+    EXPECT_LT(agg.sealed_admissions, 6) << want.config;
+  }
+}
+
+// Seeded random admission schedules: 3–8 kernels per trial at random
+// row offsets (footprints overlap freely), staggered start ticks, pauses
+// at every admission. This drives every transit path — sealed,
+// rebuilt on overlap, rebuilt at completion, resealed — under real
+// serial and mesh contention. The digests over all completed
+// residencies (completion order, timing, traffic, waits) were produced
+// by the engine that tracked every link reservation of every residency.
+// Residencies that deadlock are left out: that engine never returned
+// them.
+TEST(MultiEngineTransit, RandomSchedulesMatchPinnedDigests) {
+  const workloads::Corpus& corpus = kernel_corpus();
+  const std::vector<bytecode::Method>& methods = corpus.program.methods;
+  struct Golden {
+    const char* config;
+    std::uint64_t digest;
+    std::int64_t waits;
+  };
+  for (const Golden& want : {Golden{"Compact2", 8463081803649084101ULL, 112357},
+                             Golden{"Hetero2", 16761996935969904184ULL, 114599},
+                             Golden{"Sparse2", 5464986969855478015ULL, 230143},
+                             Golden{"Compact4", 16594571396115785578ULL, 26561}}) {
+    const sim::MachineConfig cfg = sim::config_by_name(want.config);
+    std::vector<ExecPlan> plans(methods.size());
+    for (std::size_t i = 0; i < methods.size(); ++i) {
+      plans[i] = ExecPlanBuilder().build(
+          methods[i], fabric::build_dataflow_graph(methods[i], corpus.program.pool),
+          nullptr, cfg);
+    }
+    std::mt19937_64 rng(20141215);
+    RunDigest d;
+    std::int64_t waits = 0;
+    std::int64_t rebuilds = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      MultiEngine engine(cfg);
+      const auto returned = [&](sim::ResidentId id) {
+        const sim::ResidentOutcome* o = engine.outcome(id);
+        if (o->metrics.completed) d.add(o->admitted_tick);
+      };
+      const int n = 3 + static_cast<int>(rng() % 6);
+      std::int64_t start = 0;
+      for (int k = 0; k < n; ++k) {
+        const auto mi = static_cast<std::size_t>(rng() % methods.size());
+        if (!plans[mi].fits()) continue;
+        const auto delta = static_cast<std::int32_t>(rng() % 12) * cfg.width;
+        start += static_cast<std::int64_t>(rng() % 400);
+        while (const auto done = engine.advance(start)) returned(*done);
+        engine.admit(methods[mi], plans[mi], delta,
+                     rng() % 2 != 0 ? BranchPredictor::Scenario::BP2
+                                    : BranchPredictor::Scenario::BP1,
+                     start);
+      }
+      while (const auto done = engine.advance()) returned(*done);
+      const sim::MultiRunMetrics agg = engine.finish();
+      rebuilds += agg.transit_rebuilds;
+      for (const sim::ResidentOutcome& o : agg.residents) {
+        if (!o.metrics.completed) continue;
+        d.add(o.metrics.ticks);
+        d.add(o.metrics.instructions_fired);
+        d.add(o.completed_tick);
+        d.add(o.serial_wait_ticks);
+        d.add(o.mesh_wait_ticks);
+        d.add(o.ring_wait_ticks);
+        d.add(o.metrics.serial_messages);
+        d.add(o.metrics.mesh_messages);
+        d.add(o.metrics.ticks_exec_2plus);
+        waits += o.serial_wait_ticks + o.mesh_wait_ticks;
+      }
+    }
+    EXPECT_EQ(d.h, want.digest) << want.config;
+    EXPECT_EQ(waits, want.waits) << want.config;
+    EXPECT_GT(rebuilds, 0) << want.config;
+  }
+}
+
+// A plan whose Return never receives its operand: once the stuck
+// residency's own events drain it is classified — timed out and
+// deadlocked, with the Return holding HEAD as the witness — at that
+// tick, not when the whole calendar empties, and not never. A longer
+// healthy co-resident completes normally afterwards.
+TEST(MultiEngineDeadlock, DrainedResidencyIsClassifiedDeadlocked) {
+  Program p = loop_program();
+  {
+    Assembler a(p, "serve.stuck(I)I", "serve");
+    a.args({ValueType::Int}).returns(ValueType::Int);
+    a.iload(0).iload(0).op(Op::iadd).op(Op::ireturn);
+    p.methods.push_back(a.build());
+  }
+  const bytecode::Method& loop = p.methods[0];
+  const bytecode::Method& m = p.methods[1];
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  fabric::DataflowGraph broken = fabric::build_dataflow_graph(m, p.pool);
+  broken.consumers_of[2].clear();  // iadd never feeds the ireturn
+  const ExecPlan bad = ExecPlanBuilder().build(m, broken, nullptr, cfg);
+  const ExecPlan good = ExecPlanBuilder().build(
+      loop, fabric::build_dataflow_graph(loop, p.pool), nullptr, cfg);
+
+  MultiEngine engine(cfg);
+  const sim::ResidentId stuck =
+      engine.admit(m, bad, 0, BranchPredictor::Scenario::BP1, 0);
+  const sim::ResidentId fine = engine.admit(
+      loop, good, 2 * cfg.width, BranchPredictor::Scenario::BP1, 0);
+  std::vector<sim::ResidentId> order;
+  while (const auto done = engine.advance()) order.push_back(*done);
+  EXPECT_EQ(order, (std::vector<sim::ResidentId>{stuck, fine}));
+  EXPECT_EQ(engine.running_count(), 0u);
+  EXPECT_TRUE(engine.idle());
+
+  const sim::ResidentOutcome* ok = engine.outcome(fine);
+  ASSERT_NE(ok, nullptr);
+  EXPECT_TRUE(ok->metrics.completed);
+  EXPECT_FALSE(ok->deadlocked);
+
+  const sim::ResidentOutcome* out = engine.outcome(stuck);
+  ASSERT_NE(out, nullptr);
+  EXPECT_TRUE(out->deadlocked);
+  EXPECT_TRUE(out->metrics.timed_out);
+  EXPECT_FALSE(out->metrics.completed);
+  EXPECT_EQ(out->completed_tick, -1);
+  EXPECT_GT(out->deadlock_tick, 0);
+  EXPECT_LT(out->deadlock_tick, ok->completed_tick);
+  EXPECT_EQ(out->stuck_nodes, std::vector<std::int32_t>{3});
+  EXPECT_EQ(out->metrics.ticks, out->deadlock_tick);
+}
+
+// Ids and node lanes are recycled once a residency is done, returned
+// and drained, so sequential admissions far past the 16-bit Event::res
+// range never run into the residency cap, and the engine keeps handing
+// out the same few ids.
+TEST(MultiEngineLifetime, SequentialAdmissionsRecycleIdsPastTheCap) {
+  Program p;
+  {
+    Assembler a(p, "serve.tiny(I)I", "serve");
+    a.args({ValueType::Int}).returns(ValueType::Int);
+    a.iload(0).iload(0).op(Op::iadd).op(Op::ireturn);
+    p.methods.push_back(a.build());
+  }
+  const bytecode::Method& m = p.methods[0];
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  const ExecPlan plan = ExecPlanBuilder().build(
+      m, fabric::build_dataflow_graph(m, p.pool), nullptr, cfg);
+  const RunMetrics ref =
+      single_run(cfg, m, plan, BranchPredictor::Scenario::BP1);
+  MultiEngine engine(cfg);
+  constexpr int kAdmissions = 70'000;
+  sim::ResidentId max_id = -1;
+  for (int i = 0; i < kAdmissions; ++i) {
+    const sim::ResidentId id = engine.admit(
+        m, plan, 0, BranchPredictor::Scenario::BP1, engine.now());
+    ASSERT_GE(id, 0) << "admission " << i;
+    max_id = std::max(max_id, id);
+    const auto done = engine.advance();
+    ASSERT_TRUE(done.has_value()) << "admission " << i;
+    ASSERT_EQ(*done, id);
+    ASSERT_EQ(engine.outcome(id)->metrics, ref) << "admission " << i;
+  }
+  EXPECT_LE(max_id, 1);
+  EXPECT_EQ(engine.resident_count(), static_cast<std::size_t>(kAdmissions));
+}
+
 // ---- request stream ----
 
 // A five-method serving corpus: the loop plus arithmetic chains of
@@ -585,6 +829,90 @@ TEST(FabricServe, FabricTickBudgetTimesRequestsOut) {
     EXPECT_TRUE(o.timed_out);
     EXPECT_EQ(o.completed_tick, -1);
   }
+}
+
+// Serving digests pinned from the engine that tracked every link
+// reservation of every residency, before sealed transit, per-tick
+// draining and id recycling: the hand-written kernels on Hetero2 at the
+// benchmark's knee gap (streams 1, 3 and 4 of the serve-hot workload;
+// stream 3 has real serial and mesh contention), plus smaller streams
+// on the collapsed Baseline and on Compact2.
+TEST(FabricServe, GoldenDigestsMatchPinnedValues) {
+  const workloads::Corpus& kernels = kernel_corpus();
+  const std::vector<std::int32_t> methods = all_methods(kernels.program);
+  struct Golden {
+    const char* config;
+    std::uint64_t seed;
+    std::int32_t requests;
+    std::int64_t gap;
+    std::uint64_t digest;
+  };
+  for (const Golden& want : {
+           Golden{"Hetero2", 1, 1000, 6000, 5521178020094482098ULL},
+           Golden{"Hetero2", 3, 1000, 6000, 16985165777580352135ULL},
+           Golden{"Hetero2", 4, 1000, 6000, 13464819518530092563ULL},
+           Golden{"Baseline", 5, 200, 2000, 3335470043404456123ULL},
+           Golden{"Compact2", 6, 200, 2000, 13688965158137071514ULL},
+       }) {
+    serve::RequestStreamOptions stream;
+    stream.seed = want.seed;
+    stream.num_requests = want.requests;
+    stream.mean_gap_ticks = want.gap;
+    const serve::ServeReport rep = serve::serve(
+        kernels.program, methods, sim::config_by_name(want.config), stream);
+    EXPECT_EQ(rep.digest(), want.digest)
+        << want.config << " stream " << want.seed;
+    EXPECT_EQ(rep.completed, rep.requests) << want.config;
+  }
+}
+
+// Serve-hot stream 2 strands residencies of two kernels (lb.read and
+// Compressor.init) at memory operations without a MEMORY token, and
+// again on later requests for them. The run must still terminate, with
+// exactly those requests classified as deadlocked timeouts and every
+// other request completed.
+TEST(FabricServe, StuckResidenciesEndAsDeadlockedTimeouts) {
+  const workloads::Corpus& kernels = kernel_corpus();
+  serve::RequestStreamOptions stream;
+  stream.seed = 2;
+  stream.num_requests = 1000;
+  stream.mean_gap_ticks = 6000;
+  const serve::ServeReport rep =
+      serve::serve(kernels.program, all_methods(kernels.program),
+                   sim::config_by_name("Hetero2"), stream);
+  EXPECT_GT(rep.deadlocked, 0);
+  EXPECT_EQ(rep.timed_out, rep.deadlocked);
+  EXPECT_EQ(rep.completed + rep.deadlocked, rep.requests);
+  for (const serve::RequestOutcome& o : rep.outcomes) {
+    EXPECT_EQ(o.deadlocked, o.timed_out) << o.request_id;
+    if (!o.deadlocked) continue;
+    const std::string& name =
+        kernels.program.methods[static_cast<std::size_t>(o.method_index)]
+            .name;
+    EXPECT_TRUE(name.find("lb.read") != std::string::npos ||
+                name.find("Compressor.init") != std::string::npos)
+        << name;
+  }
+}
+
+// Past the 16-bit residency id range through the whole server: no
+// request is rejected for want of an id.
+TEST(FabricServe, SeventyThousandRequestsNeverHitTheResidencyCap) {
+  Program p;
+  {
+    Assembler a(p, "serve.tiny(I)I", "serve");
+    a.args({ValueType::Int}).returns(ValueType::Int);
+    a.iload(0).iload(0).op(Op::iadd).op(Op::ireturn);
+    p.methods.push_back(a.build());
+  }
+  serve::RequestStreamOptions stream;
+  stream.seed = 12;
+  stream.num_requests = 70'000;
+  stream.mean_gap_ticks = 64;
+  const serve::ServeReport rep =
+      serve::serve(p, {0}, sim::config_by_name("Compact2"), stream);
+  EXPECT_EQ(rep.rejected, 0);
+  EXPECT_EQ(rep.completed, rep.requests);
 }
 
 // The digest moves when behavior moves: a different seed or a different
