@@ -143,22 +143,49 @@ Value Interpreter::invoke(const Method& m, std::vector<Value> args) {
   return run(m, std::move(args), 0);
 }
 
+// One activation: the method's locals and operand stack, and the call a
+// `step` stopped at (a bytecode callee for `run` to invoke).
+struct Interpreter::Frame {
+  const Method* method = nullptr;
+  std::vector<Instruction>* code = nullptr;
+  std::vector<Value> locals;
+  std::vector<Value> stack;
+  Profiler::MethodStats* prof = nullptr;
+  std::size_t pc = 0;
+  const Method* callee = nullptr;
+  std::vector<Value> args;
+  bool push_result = false;
+  Value result;
+};
+
 Value Interpreter::run(const Method& m, std::vector<Value> locals,
                        int depth) {
   if (depth > options_.max_call_depth) {
     throw JvmException("StackOverflowError");
   }
-  locals.resize(m.max_locals, Value::make_int(0));
-
-  std::vector<Instruction>& code = code_for(m);
-  std::vector<Value> stack;
-  stack.reserve(m.max_stack);
-
-  Profiler::MethodStats* prof = nullptr;
+  Frame f;
+  f.method = &m;
+  f.locals = std::move(locals);
+  f.locals.resize(m.max_locals, Value::make_int(0));
+  f.code = &code_for(m);
+  f.stack.reserve(m.max_stack);
   if (profiler_ != nullptr) {
-    prof = &profiler_->stats(m.name, m.benchmark);
-    ++prof->invocations;
+    f.prof = &profiler_->stats(m.name, m.benchmark);
+    ++f.prof->invocations;
   }
+  while (step(f)) {
+    const Value result = run(*f.callee, std::move(f.args), depth + 1);
+    if (f.push_result) f.stack.push_back(result);
+  }
+  return f.result;
+}
+
+bool Interpreter::step(Frame& f) {
+  const Method& m = *f.method;
+  std::vector<Instruction>& code = *f.code;
+  std::vector<Value>& locals = f.locals;
+  std::vector<Value>& stack = f.stack;
+  Profiler::MethodStats* const prof = f.prof;
 
   auto push = [&stack](Value v) { stack.push_back(v); };
   auto pop = [&stack]() {
@@ -167,7 +194,7 @@ Value Interpreter::run(const Method& m, std::vector<Value> locals,
     return v;
   };
 
-  std::size_t pc = 0;
+  std::size_t pc = f.pc;
   while (true) {
     if (++steps_ > options_.max_steps) {
       throw std::runtime_error("interpreter step budget exhausted in " +
@@ -628,9 +655,11 @@ Value Interpreter::run(const Method& m, std::vector<Value> locals,
       // ---- returns ----
       case Op::ireturn: case Op::lreturn: case Op::freturn:
       case Op::dreturn: case Op::areturn:
-        return pop();
+        f.result = pop();
+        return false;
       case Op::return_:
-        return Value::make_default(ValueType::Void);
+        f.result = Value::make_default(ValueType::Void);
+        return false;
       case Op::athrow:
         throw JvmException("athrow from " + m.name);
 
@@ -695,19 +724,23 @@ Value Interpreter::run(const Method& m, std::vector<Value> locals,
         for (int k = inst.pop - 1; k >= 0; --k) {
           args[static_cast<std::size_t>(k)] = pop();
         }
+        const bool push_result = e.method.return_type != ValueType::Void;
         const Method* callee = program_.find(e.method.qualified_name);
-        Value result;
         if (callee != nullptr) {
-          result = run(*callee, std::move(args), depth + 1);
-        } else {
-          auto it = intrinsics_.find(e.method.qualified_name);
-          if (it == intrinsics_.end()) {
-            throw std::runtime_error("unresolved method " +
-                                     e.method.qualified_name);
-          }
-          result = it->second(*this, args);
+          // `run` makes the call, so this frame is off the C++ stack.
+          f.callee = callee;
+          f.args = std::move(args);
+          f.push_result = push_result;
+          f.pc = next;
+          return true;
         }
-        if (e.method.return_type != ValueType::Void) push(result);
+        auto it = intrinsics_.find(e.method.qualified_name);
+        if (it == intrinsics_.end()) {
+          throw std::runtime_error("unresolved method " +
+                                   e.method.qualified_name);
+        }
+        const Value result = it->second(*this, args);
+        if (push_result) push(result);
         break;
       }
 

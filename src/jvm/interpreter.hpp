@@ -67,7 +67,19 @@ class Interpreter {
   std::uint64_t steps() const noexcept { return steps_; }
 
  private:
+  // One activation (defined in interpreter.cpp).
+  struct Frame;
+
+  // Recursion lives here only: the frame of `run` is small, and the big
+  // instruction switch in `step` has returned before the callee runs, so
+  // even a sanitizer-inflated `step` frame is on the C++ stack once, not
+  // once per call level. That keeps max_call_depth, not the host stack,
+  // the limit that trips.
   Value run(const bytecode::Method& m, std::vector<Value> locals, int depth);
+  // Executes `f` until it returns (false, f.result set) or reaches a call
+  // of a bytecode method (true, f.callee/args/push_result set, f.pc past
+  // the call).
+  bool step(Frame& f);
   std::vector<bytecode::Instruction>& code_for(const bytecode::Method& m);
   void register_default_intrinsics();
 

@@ -74,7 +74,7 @@ class ServerState {
         // queued and nothing executing. Unreachable when admission is
         // sound (an empty fabric admits any fitting method), but a
         // forced rejection of the head keeps the server total.
-        outcomes_[static_cast<std::size_t>(queue_.front())].rejected = true;
+        reject(queue_.front(), RejectReason::TerminationGuard);
         queue_.pop_front();
       }
       enqueue_due();
@@ -106,6 +106,10 @@ class ServerState {
     for (const RequestOutcome& o : outcomes_) {
       rep.completed += o.completed ? 1 : 0;
       rep.rejected += o.rejected ? 1 : 0;
+      rep.rejected_never_fits +=
+          o.reject_reason == RejectReason::NeverFits ? 1 : 0;
+      rep.rejected_forced +=
+          o.reject_reason == RejectReason::TerminationGuard ? 1 : 0;
       rep.timed_out += o.timed_out ? 1 : 0;
       rep.deadlocked += o.deadlocked ? 1 : 0;
       rep.instructions_fired += o.metrics.instructions_fired;
@@ -137,6 +141,12 @@ class ServerState {
   const bytecode::Method& method_of(std::int32_t method_index) const {
     return program_.methods[static_cast<std::size_t>(
         methods_[static_cast<std::size_t>(method_index)])];
+  }
+
+  void reject(std::int64_t request, RejectReason why) {
+    RequestOutcome& o = outcomes_[static_cast<std::size_t>(request)];
+    o.rejected = true;
+    o.reject_reason = why;
   }
 
   void enqueue_due() {
@@ -224,7 +234,7 @@ class ServerState {
           const auto span = mgr_.canonical_span(m, program_.pool);
           if (!span) {
             // Exceeds the fabric even when empty: reject outright.
-            outcomes_[static_cast<std::size_t>(*it)].rejected = true;
+            reject(*it, RejectReason::NeverFits);
             it = queue_.erase(it);
             progress = true;
             continue;
@@ -353,6 +363,8 @@ void ServeReport::write_json(std::ostream& os) const {
      << ", \"requests\": " << requests
      << ", \"completed\": " << completed
      << ", \"rejected\": " << rejected
+     << ", \"rejected_never_fits\": " << rejected_never_fits
+     << ", \"rejected_forced\": " << rejected_forced
      << ", \"timed_out\": " << timed_out
      << ", \"deadlocked\": " << deadlocked
      << ", \"fabric_ticks\": " << fabric_ticks

@@ -39,6 +39,15 @@
 
 namespace javaflow::serve {
 
+// Why a request was rejected. Reported in the JSON report only; the
+// digest sees just the `rejected` flag.
+enum class RejectReason : std::uint8_t {
+  None,
+  NeverFits,        // exceeds the fabric even when it is empty
+  TerminationGuard, // forced out of a drained, idle server (never
+                    // expected: an empty fabric admits any fitting method)
+};
+
 // Per-request terminal record. Exactly one of completed / rejected /
 // timed_out is set once the stream drains.
 struct RequestOutcome {
@@ -49,7 +58,8 @@ struct RequestOutcome {
   std::int64_t completed_tick = -1;  // -1 unless completed
   std::int64_t latency_ticks = -1;   // completed - arrival
   bool completed = false;
-  bool rejected = false;   // method can never fit on this fabric
+  bool rejected = false;   // see reject_reason
+  RejectReason reject_reason = RejectReason::None;
   bool timed_out = false;  // fabric tick budget exhausted mid-run, or
                            // deadlocked
   bool deadlocked = false;  // timed out because no event of it was left
@@ -69,6 +79,8 @@ struct ServeReport {
   std::int64_t requests = 0;
   std::int64_t completed = 0;
   std::int64_t rejected = 0;
+  std::int64_t rejected_never_fits = 0;  // of rejected, by reason
+  std::int64_t rejected_forced = 0;      // (RejectReason; JSON only)
   std::int64_t timed_out = 0;
   std::int64_t deadlocked = 0;  // of timed_out
   std::int64_t fabric_ticks = 0;

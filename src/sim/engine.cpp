@@ -46,13 +46,11 @@ struct detail::EngineWorkspace {
   std::vector<std::uint8_t> node_state;   // kHeadReceived|kFired|...
   std::vector<std::int32_t> node_pops;    // mesh operands received
   std::vector<std::int32_t> node_epoch;   // iteration epoch (mesh filter)
-  std::vector<std::int32_t> node_fwd;     // serial forward target (i+1
-                                          // until a forward branch fires)
   std::vector<std::int64_t> node_head_tick;  // latest HEAD arrival
   std::vector<std::int64_t> node_tail_hold;  // TAIL hold start
   std::vector<char> distinct;
   std::vector<char> node_exec_busy;
-  std::vector<std::vector<std::int32_t>> pending_fire;
+  std::vector<detail::FireQueue> pending_fire;
 
   // The event queue; see detail::CalendarQueue for the order argument.
   detail::CalendarQueue calendar;
@@ -110,7 +108,6 @@ class Run {
         state_(ws.node_state),
         pops_(ws.node_pops),
         epoch_(ws.node_epoch),
-        fwd_(ws.node_fwd),
         head_tick_(ws.node_head_tick),
         tail_hold_(ws.node_tail_hold),
         distinct_(ws.distinct),
@@ -140,6 +137,7 @@ class Run {
     target_ = plan_.target();
     operand_ = plan_.operand();
     exec_cost_ = plan_.exec_cost_ticks();
+    serial_next_ = plan_.serial_next_ticks();
 
     node_exec_busy_.assign(static_cast<std::size_t>(max_phys_ + 1), 0);
     // Keep the per-physical-node pending lists (and their capacity)
@@ -155,10 +153,6 @@ class Run {
     state_.assign(nn, 0);
     pops_.assign(nn, 0);
     epoch_.assign(nn, 0);
-    fwd_.resize(nn);
-    for (std::size_t i = 0; i < nn; ++i) {
-      fwd_[i] = static_cast<std::int32_t>(i) + 1;
-    }
     if (mx() != nullptr) {
       head_tick_.assign(nn, -1);
       tail_hold_.assign(nn, -1);
@@ -206,7 +200,6 @@ class Run {
     state_[u] = 0;
     pops_[u] = 0;
     ++epoch_[u];
-    fwd_[u] = i + 1;
     if (mx() != nullptr) {
       head_tick_[u] = -1;
       tail_hold_[u] = -1;
@@ -245,7 +238,7 @@ class Run {
   void run_calendar(RunMetrics& metrics) {
     while (cal_.live() > 0 && !completed_) {
       cal_.migrate_overflow();
-      std::vector<Event>* bucket = &cal_.current();
+      detail::Bucket* bucket = &cal_.current();
       while (bucket->empty()) {
         cal_.advance_to(cal_.next_pending_tick());
         bucket = &cal_.current();
@@ -300,8 +293,26 @@ class Run {
         static_cast<std::size_t>(to_node) >= nodes_.size()) {
       return;  // token falls off the chain (e.g. past the bottom)
     }
+    emit_serial(to_node, tok, serial_delay(from_node, to_node), extra,
+                parent_edge);
+  }
+
+  // Forward from a node that does not buffer tokens: its serial target
+  // is always node + 1 (only a buffering control node redirects), so
+  // the hop cost is the plan's serial forward lane, −1 past the bottom.
+  void forward_next(std::int32_t node, Token tok,
+                    std::int32_t parent_edge = kParentCurrent) {
+    const std::int32_t delay = serial_next_[static_cast<std::size_t>(node)];
+    if (delay < 0) return;  // token falls off the bottom of the chain
+    emit_serial(node + 1, tok, delay, /*extra=*/0, parent_edge);
+  }
+
+  [[gnu::always_inline]] inline void emit_serial(std::int32_t to_node,
+                                                 Token tok,
+                                                 std::int64_t delay,
+                                                 std::int64_t extra,
+                                                 std::int32_t parent_edge) {
     ++serial_messages_;
-    const std::int64_t delay = serial_delay(from_node, to_node);
     if (mx() != nullptr) {
       ++mx()->serial_messages;
       mx()->serial_hop_ticks += static_cast<std::uint64_t>(delay);
@@ -416,27 +427,95 @@ class Run {
   }
 
   // ---- serial handlers ----
-  void forward_token(std::int32_t node, Token tok,
-                     std::int32_t parent_edge = kParentCurrent) {
-    send_serial(node, fwd_[static_cast<std::size_t>(node)], tok,
-                /*extra=*/0, parent_edge);
+
+  // Forward from a buffering control node: to node + 1 until a forward
+  // transfer fires, then to the transfer's target.
+  void forward_token(std::int32_t node, const NodeRt& n, Token tok) {
+    send_serial(node, n.forward_target < 0 ? node + 1 : n.forward_target,
+                tok);
   }
 
   void on_serial(std::int32_t node, Token tok) {
     const auto u = static_cast<std::size_t>(node);
-    NodeRt& n = nodes_[u];
     if (tr() != nullptr) {
       tr()->record({now_, obs::TraceEventKind::TokenDeliver, node,
                     phys_[u], static_cast<std::uint8_t>(tok.cmd), 0});
     }
     const std::uint8_t st = state_[u];
-    const bool buffers = flag(u, kPlanBuffers);
-    // Control-transfer nodes hold the bundle while unfired AND while a
-    // fired backward transfer awaits its TAIL — those tokens are the
-    // bundle that will replay around the loop (§6.3).
-    const bool hold =
-        buffers && (!(st & kFired) || (st & kWaitTailFlush) != 0);
+    if (flag(u, kPlanBuffers)) {
+      on_serial_buffering(node, tok, st);
+      return;
+    }
+    // The serial forward lane: most hops end here, at a node that only
+    // relays the token, with no NodeRt access.
+    if (detail::passes_through(st, flag(u, kPlanOrdered), local_reg_[u],
+                               group_[u], tok)) {
+      forward_next(node, tok);
+      return;
+    }
+    NodeRt& n = nodes_[u];
+    switch (tok.cmd) {
+      case Command::HeadToken:
+        state_[u] |= kHeadReceived;
+        if (mx() != nullptr) head_tick_[u] = now_;
+        try_fire(node);
+        forward_next(node, tok);  // the HEAD runs ahead (§6.3)
+        return;
 
+      case Command::MemoryToken:
+        // Ordered storage, not fired yet: hold until it fires.
+        n.memory_held = true;
+        n.held_memory = tok;
+        if (fr() != nullptr) n.held_memory_edge = cur_edge_;
+        try_fire(node);
+        return;
+
+      case Command::RegisterToken: {
+        // This node's own register, and the node is unfired or writes it.
+        const Group g = static_cast<Group>(group_[u]);
+        if (g == Group::LocalWrite) {
+          if (!(st & kFired)) {
+            n.write_absorbed = true;  // the write kills the old value
+          } else if (n.kill_next_register) {
+            n.kill_next_register = false;  // stale token after firing
+          } else {
+            forward_next(node, tok);
+          }
+          return;
+        }
+        if (!n.reg_held) {  // LocalRead / LocalInc captures its value
+          n.reg_held = true;
+          n.held_reg = tok;
+          if (fr() != nullptr) n.held_reg_edge = cur_edge_;
+          try_fire(node);
+          return;
+        }
+        forward_next(node, tok);
+        return;
+      }
+
+      case Command::TailToken:
+        n.tail_held = true;  // held until this node fires (§6.3)
+        n.held_tail = tok;
+        if (fr() != nullptr) n.held_tail_edge = cur_edge_;
+        if (mx() != nullptr) tail_hold_[u] = now_;
+        return;
+
+      default:
+        forward_next(node, tok);
+        return;
+    }
+  }
+
+  // Control-transfer nodes hold the bundle while unfired AND while a
+  // fired backward transfer awaits its TAIL — those tokens are the
+  // bundle that will replay around the loop (§6.3). Otherwise they
+  // forward each token.
+  void on_serial_buffering(std::int32_t node, Token tok, std::uint8_t st) {
+    const auto u = static_cast<std::size_t>(node);
+    NodeRt& n = nodes_[u];
+    const bool fired = (st & kFired) != 0;
+    const bool hold = !fired || (st & kWaitTailFlush) != 0;
     switch (tok.cmd) {
       case Command::HeadToken:
         state_[u] |= kHeadReceived;
@@ -447,86 +526,37 @@ class Run {
           try_fire(node);
         } else {
           try_fire(node);
-          forward_token(node, tok);  // the HEAD runs ahead (§6.3)
+          forward_token(node, n, tok);  // the HEAD runs ahead (§6.3)
+        }
+        return;
+
+      case Command::TailToken:
+        if (!fired) {
+          n.buffered.push_back(tok);
+          note_buffered(node, n);
+          n.tail_present = true;
+          try_fire(node);  // returns / backward gotos need the TAIL
+        } else if (st & kWaitTailFlush) {
+          n.buffered.push_back(tok);
+          note_buffered(node, n);
+          flush_up(node);
+        } else {
+          forward_token(node, n, tok);
         }
         return;
 
       case Command::MemoryToken:
+      case Command::RegisterToken:
         if (hold) {
           n.buffered.push_back(tok);
           note_buffered(node, n);
-          return;
-        }
-        if (flag(u, kPlanOrdered) && !(state_[u] & kFired)) {
-          n.memory_held = true;
-          n.held_memory = tok;
-          if (fr() != nullptr) n.held_memory_edge = cur_edge_;
-          try_fire(node);
-          return;
-        }
-        forward_token(node, tok);
-        return;
-
-      case Command::RegisterToken: {
-        if (hold) {
-          n.buffered.push_back(tok);
-          note_buffered(node, n);
-          return;
-        }
-        const Group g = static_cast<Group>(group_[u]);
-        if ((g == Group::LocalRead || g == Group::LocalInc) &&
-            local_reg_[u] == tok.reg && !(state_[u] & kFired) &&
-            !n.reg_held) {
-          n.reg_held = true;
-          n.held_reg = tok;
-          if (fr() != nullptr) n.held_reg_edge = cur_edge_;
-          try_fire(node);
-          return;
-        }
-        if (g == Group::LocalWrite && local_reg_[u] == tok.reg) {
-          if (!(state_[u] & kFired)) {
-            n.write_absorbed = true;  // the write kills the old value
-          } else if (n.kill_next_register) {
-            n.kill_next_register = false;  // stale token after firing
-          } else {
-            forward_token(node, tok);
-          }
-          return;
-        }
-        forward_token(node, tok);
-        return;
-      }
-
-      case Command::TailToken:
-        if (buffers) {
-          if (!(state_[u] & kFired)) {
-            n.buffered.push_back(tok);
-            note_buffered(node, n);
-            n.tail_present = true;
-            try_fire(node);  // returns / backward gotos need the TAIL
-            return;
-          }
-          if (state_[u] & kWaitTailFlush) {
-            n.buffered.push_back(tok);
-            note_buffered(node, n);
-            flush_up(node);
-            return;
-          }
-          forward_token(node, tok);
-          return;
-        }
-        if (state_[u] & kFired) {
-          forward_token(node, tok);
         } else {
-          n.tail_held = true;  // held until this node fires (§6.3)
-          n.held_tail = tok;
-          if (fr() != nullptr) n.held_tail_edge = cur_edge_;
-          if (mx() != nullptr) tail_hold_[u] = now_;
+          forward_token(node, n, tok);
         }
         return;
 
       default:
-        forward_token(node, tok);
+        forward_token(node, n, tok);
         return;
     }
   }
@@ -583,7 +613,7 @@ class Run {
       if (fr() != nullptr && node_ready_edge_[u] < 0) {
         node_ready_edge_[u] = cur_edge_;
       }
-      pending_fire_[pn].push_back(node);
+      pending_fire_[pn].push(node);
       return;
     }
     node_exec_busy_[pn] = true;
@@ -621,8 +651,7 @@ class Run {
     if (idus_ <= 1) return;
     auto& pending = pending_fire_[pn];
     while (!pending.empty()) {
-      const std::int32_t next = pending.front();
-      pending.erase(pending.begin());
+      const std::int32_t next = pending.pop();
       try_fire(next);
       if (node_exec_busy_[pn]) break;  // someone grabbed the unit
     }
@@ -643,24 +672,24 @@ class Run {
     if (g == Group::LocalRead || g == Group::LocalInc) {
       if (n.reg_held) {
         n.reg_held = false;
-        forward_token(node, n.held_reg,  // register value flows on
-                      fr() != nullptr
-                          ? hold_edge(node, n.held_reg_edge,
-                                      obs::PathCategory::OperandWait)
-                          : kParentCurrent);
+        forward_next(node, n.held_reg,  // register value flows on
+                     fr() != nullptr
+                         ? hold_edge(node, n.held_reg_edge,
+                                     obs::PathCategory::OperandWait)
+                         : kParentCurrent);
       }
     }
     if (g == Group::LocalWrite) {
-      forward_token(node, Token{Command::RegisterToken, local_reg_[u]});
+      forward_next(node, Token{Command::RegisterToken, local_reg_[u]});
       if (!n.write_absorbed) n.kill_next_register = true;
     }
     if (n.memory_held) {
       n.memory_held = false;
-      forward_token(node, n.held_memory,  // memory order established
-                    fr() != nullptr
-                        ? hold_edge(node, n.held_memory_edge,
-                                    obs::PathCategory::OperandWait)
-                        : kParentCurrent);
+      forward_next(node, n.held_memory,  // memory order established
+                   fr() != nullptr
+                       ? hold_edge(node, n.held_memory_edge,
+                                   obs::PathCategory::OperandWait)
+                       : kParentCurrent);
     }
     if (n.tail_held) {
       n.tail_held = false;
@@ -668,11 +697,11 @@ class Run {
         mx()->tail_hold_ticks.record(now_ - tail_hold_[u]);
         tail_hold_[u] = -1;
       }
-      forward_token(node, n.held_tail,
-                    fr() != nullptr
-                        ? hold_edge(node, n.held_tail_edge,
-                                    obs::PathCategory::TailHold)
-                        : kParentCurrent);
+      forward_next(node, n.held_tail,
+                   fr() != nullptr
+                       ? hold_edge(node, n.held_tail_edge,
+                                   obs::PathCategory::TailHold)
+                       : kParentCurrent);
     }
   }
 
@@ -741,11 +770,11 @@ class Run {
       state_[u] |= kInService;
       if (n.memory_held) {
         n.memory_held = false;
-        forward_token(node, n.held_memory,
-                      fr() != nullptr
-                          ? hold_edge(node, n.held_memory_edge,
-                                      obs::PathCategory::OperandWait)
-                          : kParentCurrent);
+        forward_next(node, n.held_memory,
+                     fr() != nullptr
+                         ? hold_edge(node, n.held_memory_edge,
+                                     obs::PathCategory::OperandWait)
+                         : kParentCurrent);
       }
       const std::int64_t svc_ticks = k_ * cfg_.ring.memory_read;
       if (mx() != nullptr || tr() != nullptr) {
@@ -816,7 +845,7 @@ class Run {
     if (target > node) {
       // Forward transfer: flush the buffer toward the target; later
       // tokens follow the same route until the iteration resets.
-      fwd_[u] = target;
+      n.forward_target = target;
       std::int64_t idx = 0;
       for (std::size_t bi = 0; bi < n.buffered.size(); ++bi) {
         const Token& tok = n.buffered[bi];
@@ -891,14 +920,13 @@ class Run {
   // Workspace-backed storage: all references point into the engine's
   // detail::EngineWorkspace and are re-initialized by execute().
   std::vector<char>& node_exec_busy_;
-  std::vector<std::vector<std::int32_t>>& pending_fire_;
+  std::vector<detail::FireQueue>& pending_fire_;
 
   std::vector<NodeRt>& nodes_;
   // Struct-of-arrays hot lanes (same index space as nodes_).
   std::vector<std::uint8_t>& state_;
   std::vector<std::int32_t>& pops_;
   std::vector<std::int32_t>& epoch_;
-  std::vector<std::int32_t>& fwd_;
   std::vector<std::int64_t>& head_tick_;
   std::vector<std::int64_t>& tail_hold_;
   std::vector<char>& distinct_;
@@ -914,6 +942,7 @@ class Run {
   const std::int32_t* target_ = nullptr;
   const std::int32_t* operand_ = nullptr;
   const std::int32_t* exec_cost_ = nullptr;
+  const std::int32_t* serial_next_ = nullptr;
   detail::CalendarQueue& cal_;
   std::vector<Token>& flush_scratch_;
   std::vector<std::int32_t>& flush_edge_scratch_;

@@ -47,6 +47,25 @@ inline constexpr std::uint8_t kInService = 0x8;
 // is unaffected.
 inline constexpr std::uint8_t kWaitTailFlush = 0x10;
 
+// The tokens a node that does not buffer only relays to the next node,
+// with no state change: MEMORY at an unordered (`ordered` false) or
+// fired node, REGISTER for another register or at a fired node other
+// than a LocalWrite, and TAIL at a fired node. Both kernels open
+// on_serial with this test, which reads the state byte and plan lanes
+// only; `group` is the node's bytecode::Group.
+inline bool passes_through(std::uint8_t st, bool ordered,
+                           std::int32_t local_reg, std::uint8_t group,
+                           Token tok) {
+  const bool fired = (st & kFired) != 0;
+  if (tok.cmd == net::Command::MemoryToken) return fired || !ordered;
+  if (tok.cmd == net::Command::RegisterToken) {
+    return local_reg != tok.reg ||
+           (fired && static_cast<bytecode::Group>(group) !=
+                         bytecode::Group::LocalWrite);
+  }
+  return tok.cmd == net::Command::TailToken && fired;
+}
+
 // Cold per-node runtime state (wraps the Figure 13 resources). All
 // static classification lives in the ExecPlan's read-only lanes, so
 // this struct carries only mutable per-iteration token state.
@@ -61,6 +80,10 @@ struct NodeRt {
   Token held_tail{};
   bool tail_present = false;    // control node has TAIL in its buffer
   std::int32_t decided_target = -1;
+  // Serial target of a control node's later tokens once a forward
+  // transfer fired; -1 means the next node. Every other node always
+  // forwards to the next node, on the plan's serial forward lane.
+  std::int32_t forward_target = -1;
 
   std::vector<Token> buffered;  // control-node token buffer
 
@@ -84,12 +107,57 @@ struct NodeRt {
     tail_held = false;
     tail_present = false;
     decided_target = -1;
+    forward_target = -1;
     buffered.clear();
     held_reg_edge = -1;
     held_memory_edge = -1;
     held_tail_edge = -1;
     buffered_edges.clear();
   }
+};
+
+// Nodes waiting for one physical node's Instruction Execution Unit
+// (idus_per_node > 1), in arrival order. A pop advances a head index
+// instead of shifting the rest, and the drained prefix is dropped when
+// a push would otherwise grow the storage, so every operation is
+// amortized O(1) and the capacity is kept across runs.
+class FireQueue {
+ public:
+  bool empty() const noexcept { return head_ == items_.size(); }
+
+  void push(std::int32_t node) {
+    if (head_ != 0 && items_.size() == items_.capacity()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    items_.push_back(node);
+  }
+
+  std::int32_t pop() {
+    const std::int32_t node = items_[head_++];
+    if (empty()) clear();
+    return node;
+  }
+
+  void clear() noexcept {
+    items_.clear();
+    head_ = 0;
+  }
+
+  // Drops every queued node `drop` selects, keeping the order of the rest.
+  template <class Pred>
+  void erase_if(Pred drop) {
+    items_.erase(std::remove_if(
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_),
+                     items_.end(), drop),
+                 items_.end());
+    if (empty()) clear();
+  }
+
+ private:
+  std::vector<std::int32_t> items_;
+  std::size_t head_ = 0;
 };
 
 enum class EvKind : std::uint8_t { Serial, Mesh, ExecDone, ServiceDone };
@@ -138,6 +206,38 @@ struct EventAfter {
   bool operator()(const Event& a, const Event& b) const {
     return std::tie(a.tick, a.seq) > std::tie(b.tick, b.seq);
   }
+};
+
+// One calendar bucket: a tick's events in push (= seq) order. The append
+// is a store into spare capacity, inlined at every schedule site (a
+// std::vector push_back stays an out-of-line call there); growth is out
+// of line, and clear() keeps the capacity, so a warm bucket never
+// allocates.
+class Bucket {
+ public:
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  const Event& operator[](std::size_t i) const noexcept { return slots_[i]; }
+  const Event* begin() const noexcept { return slots_.data(); }
+  const Event* end() const noexcept { return slots_.data() + size_; }
+  void clear() noexcept { size_ = 0; }
+
+  [[gnu::always_inline]] inline void push_back(const Event& ev) {
+    if (size_ < slots_.size()) [[likely]] {
+      slots_[size_++] = ev;
+    } else {
+      grow_push(ev);
+    }
+  }
+
+ private:
+  [[gnu::noinline]] void grow_push(const Event& ev) {
+    slots_.resize(std::max<std::size_t>(8, 2 * slots_.size()));
+    slots_[size_++] = ev;
+  }
+
+  std::vector<Event> slots_;  // slots_.size() is the capacity
+  std::size_t size_ = 0;
 };
 
 // Largest per-group execution cost in mesh cycles (Table 17: FpArith).
@@ -266,13 +366,10 @@ class CalendarQueue {
   }
 
   // Pulls every spilled event whose tick entered the window into its
-  // bucket. Owners call it before draining or scheduling at a new tick.
-  void migrate_overflow() {
-    while (!overflow_.empty() && overflow_.front().tick < cur_ + count_) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
-      insert(overflow_.back());
-      overflow_.pop_back();
-    }
+  // bucket. Owners call it before draining or scheduling at a new tick;
+  // the common empty-overflow case is one inline test.
+  [[gnu::always_inline]] inline void migrate_overflow() {
+    if (!overflow_.empty()) [[unlikely]] migrate_spilled();
   }
 
   // Tick of the next non-empty bucket strictly after the cursor, found
@@ -331,8 +428,9 @@ class CalendarQueue {
   void set_cursor(std::int64_t tick) { cur_ = tick; }
 
   // The cursor tick's bucket. Safe to hold across push(): the bucket
-  // array never resizes between reset() calls.
-  std::vector<Event>& current() {
+  // array never resizes between reset() calls (a bucket's own storage
+  // may grow, so drains index it rather than hold element pointers).
+  Bucket& current() {
     return buckets_[static_cast<std::size_t>(cur_ & mask_)];
   }
 
@@ -364,7 +462,15 @@ class CalendarQueue {
     std::push_heap(overflow_.begin(), overflow_.end(), EventAfter{});
   }
 
-  std::vector<std::vector<Event>> buckets_;
+  [[gnu::noinline]] void migrate_spilled() {
+    while (!overflow_.empty() && overflow_.front().tick < cur_ + count_) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
+      insert(overflow_.back());
+      overflow_.pop_back();
+    }
+  }
+
+  std::vector<Bucket> buckets_;
   std::vector<std::uint64_t> words_;  // one occupancy bit per bucket
   std::vector<Event> overflow_;       // min-heap under EventAfter
   std::int64_t count_ = 0;

@@ -86,6 +86,7 @@ struct MultiEngine::Impl {
     const std::int32_t* target = nullptr;
     const std::int32_t* operand = nullptr;
     const std::int32_t* exec_cost = nullptr;
+    const std::int32_t* serial_next = nullptr;
     const std::int32_t* edge_begin = nullptr;
     const PlanEdge* edges = nullptr;
     const PlanRouteLink* routes = nullptr;
@@ -164,7 +165,6 @@ struct MultiEngine::Impl {
   std::vector<std::uint8_t> state;
   std::vector<std::int32_t> pops;
   std::vector<std::int32_t> epoch;
-  std::vector<std::int32_t> fwd;  // global target (base-rebased)
   std::vector<std::int64_t> head_tick;
   std::vector<std::int64_t> tail_hold;
   std::vector<char> distinct;
@@ -177,7 +177,7 @@ struct MultiEngine::Impl {
 
   // ---- shared fabric occupancy (index = global physical node) ----
   std::vector<char> exec_busy;
-  std::vector<std::vector<std::int32_t>> pending_fire;
+  std::vector<detail::FireQueue> pending_fire;
   // Serial chain: link_down[p] is the hop entering phys p from p-1
   // (forward network); link_up[p] the hop entering p from p+1 (reverse).
   std::vector<Occupancy> link_down;
@@ -270,7 +270,6 @@ struct MultiEngine::Impl {
       state.resize(nn);
       pops.resize(nn);
       epoch.resize(nn);
-      fwd.resize(nn);
       head_tick.resize(nn);
       tail_hold.resize(nn);
       distinct.resize(nn);
@@ -314,7 +313,6 @@ struct MultiEngine::Impl {
       state[u] = 0;
       pops[u] = 0;
       epoch[u] = 0;
-      fwd[u] = base + i + 1;
       head_tick[u] = -1;
       tail_hold[u] = -1;
       distinct[u] = 0;
@@ -333,6 +331,7 @@ struct MultiEngine::Impl {
     r.target = plan.target();
     r.operand = plan.operand();
     r.exec_cost = plan.exec_cost_ticks();
+    r.serial_next = plan.serial_next_ticks();
     r.edge_begin = plan.edge_begin();
     r.edges = plan.edges();
     r.routes = plan.route_links();
@@ -454,7 +453,7 @@ struct MultiEngine::Impl {
         return std::nullopt;
       }
       if (cal.cursor() >= until) return std::nullopt;
-      std::vector<Event>& bucket = cal.current();
+      detail::Bucket& bucket = cal.current();
       if (bucket_pos < bucket.size()) {
         // Drain the rest of the tick. The index scan tolerates the
         // bucket growing underneath it (zero-delay serial forwards in
@@ -558,10 +557,10 @@ struct MultiEngine::Impl {
       // Stale fire requests of this residency would otherwise name lanes
       // the next owner reuses.
       for (std::int32_t g = r.base; g < r.base + r.count; ++g) {
-        auto& pending = pending_fire[static_cast<std::size_t>(phys_g(g))];
-        std::erase_if(pending, [&](std::int32_t x) {
-          return x >= r.base && x < r.base + r.count;
-        });
+        pending_fire[static_cast<std::size_t>(phys_g(g))].erase_if(
+            [&](std::int32_t x) {
+              return x >= r.base && x < r.base + r.count;
+            });
       }
     }
     free_lanes.emplace(r.count, r.base);
@@ -741,12 +740,34 @@ struct MultiEngine::Impl {
     if (to_g < r.base || to_g >= r.base + r.count) {
       return;  // token falls off the residency's chain span
     }
-    ++r.serial_msgs;
     const std::int32_t a =
         from_g == kFromAnchor ? r.phys_delta - 1 : phys_g(from_g);
     const std::int32_t b = phys_g(to_g);
     const std::int64_t arrive = transit_sealed(r, res) ? chain_closed(a, b)
                                                        : chain_arrival(res, a, b);
+    emit_serial<kInstr>(r, res, a, tok, to_g, arrive, extra);
+  }
+
+  // Forward from a node that does not buffer tokens: its serial target
+  // is always g + 1 (only a buffering control node redirects), so a
+  // sealed residency prices the hop straight from the plan's serial
+  // forward lane, −1 past the bottom of its chain.
+  template <bool kInstr>
+  void forward_next(Slot& r, std::uint16_t res, std::int32_t g, Token tok) {
+    const std::int32_t ticks = r.serial_next[local(r, g)];
+    if (ticks < 0) return;  // token falls off the residency's chain span
+    const std::int32_t a = phys_g(g);
+    const std::int64_t arrive = transit_sealed(r, res)
+                                    ? now + ticks
+                                    : chain_arrival(res, a, phys_g(g + 1));
+    emit_serial<kInstr>(r, res, a, tok, g + 1, arrive, /*extra=*/0);
+  }
+
+  template <bool kInstr>
+  [[gnu::always_inline]] inline void emit_serial(
+      Slot& r, std::uint16_t res, std::int32_t from_phys, Token tok,
+      std::int32_t to_g, std::int64_t arrive, std::int64_t extra) {
+    ++r.serial_msgs;
     if constexpr (kInstr) {
       const std::int64_t delay = arrive - now;
       if (fab_mx<kInstr>() != nullptr) {
@@ -762,7 +783,7 @@ struct MultiEngine::Impl {
     ev.res = res;
     ev.cmd = tok.cmd;
     ev.aux = tok.reg;
-    ev.prod = a;
+    ev.prod = from_phys;
     ev.tick = arrive + extra;
     push(r, ev);
   }
@@ -774,9 +795,13 @@ struct MultiEngine::Impl {
     ++mx.serial_commands[static_cast<std::size_t>(cmd)];
   }
 
+  // Forward from a buffering control node: to g + 1 until a forward
+  // transfer fires, then to the transfer's target (a global node index).
   template <bool kInstr>
-  void forward_token(Slot& r, std::uint16_t res, std::int32_t g, Token tok) {
-    send_serial<kInstr>(r, res, g, tok, fwd[static_cast<std::size_t>(g)]);
+  void forward_token(Slot& r, std::uint16_t res, std::int32_t g,
+                     const NodeRt& n, Token tok) {
+    send_serial<kInstr>(r, res, g, tok,
+                        n.forward_target < 0 ? g + 1 : n.forward_target);
   }
 
   template <bool kInstr>
@@ -815,21 +840,88 @@ struct MultiEngine::Impl {
     }
   }
 
-  // ---- serial handlers (ported from sim/engine.cpp on_serial) ----
+  // ---- serial handlers (mirror sim/engine.cpp on_serial) ----
+
   template <bool kInstr>
   void on_serial(Slot& r, std::uint16_t res, std::int32_t g, Token tok) {
     const auto u = static_cast<std::size_t>(g);
-    NodeRt& n = nodes[u];
     if (tr<kInstr>() != nullptr) {
       tr<kInstr>()->record({now, obs::TraceEventKind::TokenDeliver, g,
                             phys_g(g), static_cast<std::uint8_t>(tok.cmd),
                             0});
     }
     const std::uint8_t st = state[u];
-    const bool buffers = flag(r, g, kPlanBuffers);
-    const bool hold =
-        buffers && (!(st & kFired) || (st & kWaitTailFlush) != 0);
+    const std::size_t lu = local(r, g);
+    if ((r.flags[lu] & kPlanBuffers) != 0) {
+      on_serial_buffering<kInstr>(r, res, g, tok, st);
+      return;
+    }
+    // The serial forward lane: most hops end here, at a node that only
+    // relays the token, with no NodeRt access.
+    if (detail::passes_through(st, (r.flags[lu] & kPlanOrdered) != 0,
+                               r.local_reg[lu], r.group[lu], tok)) {
+      forward_next<kInstr>(r, res, g, tok);
+      return;
+    }
+    NodeRt& n = nodes[u];
+    switch (tok.cmd) {
+      case Command::HeadToken:
+        state[u] |= kHeadReceived;
+        if constexpr (kInstr) head_tick[u] = now;
+        try_fire<kInstr>(r, res, g);
+        forward_next<kInstr>(r, res, g, tok);
+        return;
 
+      case Command::MemoryToken:
+        // Ordered storage, not fired yet: hold until it fires.
+        n.memory_held = true;
+        n.held_memory = tok;
+        try_fire<kInstr>(r, res, g);
+        return;
+
+      case Command::RegisterToken:
+        // This node's own register, and the node is unfired or writes it.
+        if (static_cast<Group>(r.group[lu]) == Group::LocalWrite) {
+          if (!(st & kFired)) {
+            n.write_absorbed = true;
+          } else if (n.kill_next_register) {
+            n.kill_next_register = false;
+          } else {
+            forward_next<kInstr>(r, res, g, tok);
+          }
+          return;
+        }
+        if (!n.reg_held) {  // LocalRead / LocalInc captures its value
+          n.reg_held = true;
+          n.held_reg = tok;
+          try_fire<kInstr>(r, res, g);
+          return;
+        }
+        forward_next<kInstr>(r, res, g, tok);
+        return;
+
+      case Command::TailToken:
+        n.tail_held = true;
+        n.held_tail = tok;
+        if constexpr (kInstr) tail_hold[u] = now;
+        return;
+
+      default:
+        forward_next<kInstr>(r, res, g, tok);
+        return;
+    }
+  }
+
+  // Control-transfer nodes hold the bundle while unfired and while a
+  // fired backward transfer awaits its TAIL; otherwise they forward
+  // each token.
+  template <bool kInstr>
+  void on_serial_buffering(Slot& r, std::uint16_t res, std::int32_t g,
+                           Token tok, std::uint8_t st) {
+    const auto u = static_cast<std::size_t>(g);
+    NodeRt& n = nodes[u];
+    const bool fired = (st & kFired) != 0;
+    const bool hold = !fired || (st & kWaitTailFlush) != 0;
     switch (tok.cmd) {
       case Command::HeadToken:
         state[u] |= kHeadReceived;
@@ -840,83 +932,37 @@ struct MultiEngine::Impl {
           try_fire<kInstr>(r, res, g);
         } else {
           try_fire<kInstr>(r, res, g);
-          forward_token<kInstr>(r, res, g, tok);
+          forward_token<kInstr>(r, res, g, n, tok);
+        }
+        return;
+
+      case Command::TailToken:
+        if (!fired) {
+          n.buffered.push_back(tok);
+          note_buffered<kInstr>(res, g, n);
+          n.tail_present = true;
+          try_fire<kInstr>(r, res, g);
+        } else if (st & kWaitTailFlush) {
+          n.buffered.push_back(tok);
+          note_buffered<kInstr>(res, g, n);
+          flush_up<kInstr>(r, res, g);
+        } else {
+          forward_token<kInstr>(r, res, g, n, tok);
         }
         return;
 
       case Command::MemoryToken:
+      case Command::RegisterToken:
         if (hold) {
           n.buffered.push_back(tok);
           note_buffered<kInstr>(res, g, n);
-          return;
-        }
-        if (flag(r, g, kPlanOrdered) && !(state[u] & kFired)) {
-          n.memory_held = true;
-          n.held_memory = tok;
-          try_fire<kInstr>(r, res, g);
-          return;
-        }
-        forward_token<kInstr>(r, res, g, tok);
-        return;
-
-      case Command::RegisterToken: {
-        if (hold) {
-          n.buffered.push_back(tok);
-          note_buffered<kInstr>(res, g, n);
-          return;
-        }
-        const Group grp = group_of(r, g);
-        const std::int32_t lreg = r.local_reg[local(r, g)];
-        if ((grp == Group::LocalRead || grp == Group::LocalInc) &&
-            lreg == tok.reg && !(state[u] & kFired) && !n.reg_held) {
-          n.reg_held = true;
-          n.held_reg = tok;
-          try_fire<kInstr>(r, res, g);
-          return;
-        }
-        if (grp == Group::LocalWrite && lreg == tok.reg) {
-          if (!(state[u] & kFired)) {
-            n.write_absorbed = true;
-          } else if (n.kill_next_register) {
-            n.kill_next_register = false;
-          } else {
-            forward_token<kInstr>(r, res, g, tok);
-          }
-          return;
-        }
-        forward_token<kInstr>(r, res, g, tok);
-        return;
-      }
-
-      case Command::TailToken:
-        if (buffers) {
-          if (!(state[u] & kFired)) {
-            n.buffered.push_back(tok);
-            note_buffered<kInstr>(res, g, n);
-            n.tail_present = true;
-            try_fire<kInstr>(r, res, g);
-            return;
-          }
-          if (state[u] & kWaitTailFlush) {
-            n.buffered.push_back(tok);
-            note_buffered<kInstr>(res, g, n);
-            flush_up<kInstr>(r, res, g);
-            return;
-          }
-          forward_token<kInstr>(r, res, g, tok);
-          return;
-        }
-        if (state[u] & kFired) {
-          forward_token<kInstr>(r, res, g, tok);
         } else {
-          n.tail_held = true;
-          n.held_tail = tok;
-          if constexpr (kInstr) tail_hold[u] = now;
+          forward_token<kInstr>(r, res, g, n, tok);
         }
         return;
 
       default:
-        forward_token<kInstr>(r, res, g, tok);
+        forward_token<kInstr>(r, res, g, n, tok);
         return;
     }
   }
@@ -976,7 +1022,7 @@ struct MultiEngine::Impl {
     const auto u = static_cast<std::size_t>(g);
     const auto pn = static_cast<std::size_t>(phys_g(g));
     if (idus > 1 && exec_busy[pn]) {
-      pending_fire[pn].push_back(g);
+      pending_fire[pn].push(g);
       ++r.pending;
       return;
     }
@@ -1023,8 +1069,7 @@ struct MultiEngine::Impl {
     if (idus <= 1) return;
     auto& pending = pending_fire[pn];
     while (!pending.empty()) {
-      const std::int32_t next = pending.front();
-      pending.erase(pending.begin());
+      const std::int32_t next = pending.pop();
       const std::uint16_t nres = res_of[static_cast<std::size_t>(next)];
       if (slots[nres].done) continue;  // stale: owner finished
       --slots[nres].pending;
@@ -1048,17 +1093,17 @@ struct MultiEngine::Impl {
     if (grp == Group::LocalRead || grp == Group::LocalInc) {
       if (n.reg_held) {
         n.reg_held = false;
-        forward_token<kInstr>(r, res, g, n.held_reg);
+        forward_next<kInstr>(r, res, g, n.held_reg);
       }
     }
     if (grp == Group::LocalWrite) {
-      forward_token<kInstr>(
+      forward_next<kInstr>(
           r, res, g, Token{Command::RegisterToken, r.local_reg[local(r, g)]});
       if (!n.write_absorbed) n.kill_next_register = true;
     }
     if (n.memory_held) {
       n.memory_held = false;
-      forward_token<kInstr>(r, res, g, n.held_memory);
+      forward_next<kInstr>(r, res, g, n.held_memory);
     }
     if (n.tail_held) {
       n.tail_held = false;
@@ -1073,7 +1118,7 @@ struct MultiEngine::Impl {
           tail_hold[u] = -1;
         }
       }
-      forward_token<kInstr>(r, res, g, n.held_tail);
+      forward_next<kInstr>(r, res, g, n.held_tail);
     }
   }
 
@@ -1138,7 +1183,7 @@ struct MultiEngine::Impl {
       state[u] |= kInService;
       if (n.memory_held) {
         n.memory_held = false;
-        forward_token<kInstr>(r, res, g, n.held_memory);
+        forward_next<kInstr>(r, res, g, n.held_memory);
       }
       const std::int64_t svc_ticks = k * cfg.ring.memory_read;
       record_service<kInstr>(res, g, net::RingService::MemoryRead,
@@ -1214,7 +1259,7 @@ struct MultiEngine::Impl {
 
     mark_fired(r, g);
     if (target > g) {
-      fwd[u] = target;
+      n.forward_target = target;
       std::int64_t idx = 0;
       for (std::size_t bi = 0; bi < n.buffered.size(); ++bi) {
         send_serial<kInstr>(r, res, g, n.buffered[bi], target,
@@ -1234,7 +1279,6 @@ struct MultiEngine::Impl {
     state[u] = 0;
     pops[u] = 0;
     ++epoch[u];
-    fwd[u] = g + 1;
     if constexpr (kInstr) {
       head_tick[u] = -1;
       tail_hold[u] = -1;

@@ -1,5 +1,6 @@
 #include "sim/plan.hpp"
 
+#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 
@@ -61,8 +62,8 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
     out.arena_.clear();
     out.group_ = out.op_ = out.flags_ = out.branch_kinds_ = nullptr;
     out.pop_need_ = out.local_reg_ = out.slot_ = out.phys_ = nullptr;
-    out.target_ = out.operand_ = out.exec_cost_ = out.produce_extra_ =
-        nullptr;
+    out.target_ = out.operand_ = out.exec_cost_ = out.serial_next_ =
+        out.produce_extra_ = nullptr;
     out.operand_hi_ = out.forward_fanout_ = nullptr;
     out.edge_begin_ = out.oper_begin_ = nullptr;
     out.edges_ = nullptr;
@@ -171,7 +172,7 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
   const std::vector<std::uint8_t> kinds = classify_branches(m);
 
   // ---- lay out the arena ----
-  constexpr std::size_t kI32Lanes = 10;  // per-node int32 lanes below
+  constexpr std::size_t kI32Lanes = 11;  // per-node int32 lanes below
   std::size_t off = 0;
   const std::size_t off_pairs = off;
   off += np * sizeof(ExecPlan::RoutePair);
@@ -212,6 +213,7 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
   std::int32_t* produce_extra = i32 + 7 * nn;
   std::int32_t* operand_hi = i32 + 8 * nn;
   std::int32_t* forward_fanout = i32 + 9 * nn;
+  std::int32_t* serial_next = i32 + 10 * nn;
   auto* edge_begin =
       reinterpret_cast<std::int32_t*>(base + off_edge_begin);
   std::memcpy(edge_begin, edge_begin_.data(),
@@ -287,6 +289,13 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
     }
   }
 
+  for (std::size_t i = 0; i + 1 < nn; ++i) {
+    const std::int32_t hops = std::abs(phys[i + 1] - phys[i]);
+    serial_next[i] =
+        static_cast<std::int32_t>(out.hop_ * std::max(hops, 1));
+  }
+  if (nn != 0) serial_next[nn - 1] = -1;
+
   out.route_pair_count_ = static_cast<std::int32_t>(np);
   out.group_ = group;
   out.op_ = op;
@@ -299,6 +308,7 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
   out.target_ = target;
   out.operand_ = operand;
   out.exec_cost_ = exec_cost;
+  out.serial_next_ = serial_next;
   out.produce_extra_ = produce_extra;
   out.operand_hi_ = operand_hi;
   out.forward_fanout_ = forward_fanout;

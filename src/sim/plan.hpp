@@ -14,7 +14,8 @@
 //   * dense per-node dispatch lanes: opcode, group, classification
 //     flags (token buffering, ordered storage, backward goto, switch),
 //     branch targets, Table 17 execution costs and ring service
-//     surcharges in ticks, operand/fan-out capacities;
+//     surcharges in ticks, operand/fan-out capacities, and the serial
+//     forward lane (each node's hop cost to the next node);
 //   * the static branch classifications (sim::classify_branches), so a
 //     plan-driven run never re-derives them.
 //
@@ -120,6 +121,14 @@ class ExecPlan {
   const std::int32_t* target() const noexcept { return target_; }
   const std::int32_t* operand() const noexcept { return operand_; }
   const std::int32_t* exec_cost_ticks() const noexcept { return exec_cost_; }
+  // Serial forward lane: the ticks of the serial hop from node u to node
+  // u + 1, `hop · max(|phys[u+1] − phys[u]|, 1)` (serial_ticks_between),
+  // or −1 at the last node, where a forwarded token falls off the chain.
+  // A node that does not buffer tokens always forwards to u + 1, so the
+  // kernels read every such forward from this lane.
+  const std::int32_t* serial_next_ticks() const noexcept {
+    return serial_next_;
+  }
   // Post-execution ring surcharge before results flow (bound analyzer):
   // memory_read for MemRead, gpp_service for Call/Special; 0 otherwise.
   const std::int32_t* produce_extra_ticks() const noexcept {
@@ -221,6 +230,7 @@ class ExecPlan {
   const std::int32_t* target_ = nullptr;
   const std::int32_t* operand_ = nullptr;
   const std::int32_t* exec_cost_ = nullptr;
+  const std::int32_t* serial_next_ = nullptr;
   const std::int32_t* produce_extra_ = nullptr;
   const std::int32_t* operand_hi_ = nullptr;
   const std::int32_t* forward_fanout_ = nullptr;

@@ -15,6 +15,8 @@
 // binary under TSan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -443,6 +445,55 @@ TEST(PlanBounds, LowerBoundStaysSound) {
         engine.run(p.methods[0], plan, predictor);
     ASSERT_TRUE(metrics.completed) << cfg.name;
     EXPECT_LE(bounds.lower_bound_ticks, metrics.ticks) << cfg.name;
+  }
+}
+
+// ---- serial forward lane ----
+
+// The lane the kernels forward non-buffering tokens on must price every
+// hop u -> u + 1 exactly like the engine's serial-delay walk, on every
+// Table 15 config, and end the chain at the last node. Packing 4 IDUs
+// per node puts consecutive nodes on one physical node, where the hop
+// still costs one tick.
+TEST(PlanLane, SerialForwardLaneMatchesSerialDelayWalk) {
+  const workloads::Corpus& corpus = shared_corpus();
+  const Program loop = loop_program();
+  std::vector<std::pair<const bytecode::Method*, const bytecode::ConstantPool*>>
+      methods = {{&loop.methods[0], &loop.pool}};
+  for (std::size_t i = 0; i < corpus.program.methods.size(); i += 32) {
+    methods.emplace_back(&corpus.program.methods[i], &corpus.program.pool);
+  }
+  sim::ExecPlanBuilder builder;
+  sim::ExecPlan plan;
+  std::vector<sim::MachineConfig> configs = sim::table15_configs();
+  for (sim::MachineConfig cfg : sim::table15_configs()) {
+    cfg.idus_per_node = 4;
+    configs.push_back(cfg);
+  }
+  for (const sim::MachineConfig& cfg : configs) {
+    std::size_t checked = 0;
+    for (const auto& [m, pool] : methods) {
+      const fabric::DataflowGraph graph =
+          fabric::build_dataflow_graph(*m, *pool);
+      builder.build_into(plan, *m, graph, nullptr, cfg);
+      if (!plan.fits()) continue;
+      const std::int32_t n = plan.node_count();
+      const std::int32_t* lane = plan.serial_next_ticks();
+      ASSERT_NE(lane, nullptr) << cfg.name << " " << m->name;
+      for (std::int32_t u = 0; u + 1 < n; ++u) {
+        const std::int64_t hops = std::max<std::int64_t>(
+            std::abs(plan.phys()[u + 1] - plan.phys()[u]), 1);
+        ASSERT_EQ(lane[u], plan.serial_ticks_between(u, u + 1))
+            << cfg.name << " idus " << cfg.idus_per_node << " " << m->name
+            << " node " << u;
+        ASSERT_EQ(lane[u], plan.hop_ticks() * hops)
+            << cfg.name << " idus " << cfg.idus_per_node << " " << m->name
+            << " node " << u;
+      }
+      ASSERT_EQ(lane[n - 1], -1) << cfg.name << " " << m->name;
+      ++checked;
+    }
+    EXPECT_GT(checked, methods.size() / 2) << cfg.name;
   }
 }
 

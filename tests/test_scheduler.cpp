@@ -35,6 +35,7 @@ using bytecode::Assembler;
 using bytecode::Op;
 using bytecode::Program;
 using bytecode::ValueType;
+using sim::detail::Bucket;
 using sim::detail::CalendarQueue;
 using sim::detail::Event;
 using sim::detail::EventAfter;
@@ -109,7 +110,7 @@ TEST(CalendarQueue, PerTickDrainMatchesHeapOrder) {
     o.seed_wave(0, 200);
     while (o.cal.live() > 0) {
       o.cal.migrate_overflow();
-      std::vector<Event>* bucket = &o.cal.current();
+      Bucket* bucket = &o.cal.current();
       while (bucket->empty()) {
         o.cal.advance_to(o.cal.next_pending_tick());
         bucket = &o.cal.current();
@@ -146,7 +147,7 @@ TEST(CalendarQueue, SingleEventDrainMatchesHeapOrder) {
     for (int wave = 0; wave < 3; ++wave) {
       o.seed_wave(o.cal.cursor(), 150);
       while (o.cal.live() > 0) {
-        std::vector<Event>& bucket = o.cal.current();
+        Bucket& bucket = o.cal.current();
         if (pos < bucket.size()) {
           const std::size_t from = pos;
           bool paused = false;
@@ -196,7 +197,7 @@ TEST(CalendarQueue, CursorJumpKeepsSpilledEventsFirst) {
   ASSERT_GT(later.seq, spilled.seq);
   EXPECT_EQ(q.next_pending_tick(), 100);
   q.advance_to(100);
-  const std::vector<Event>& bucket = q.current();
+  const Bucket& bucket = q.current();
   ASSERT_EQ(bucket.size(), 2u);
   EXPECT_EQ(bucket[0].node, 1);
   EXPECT_EQ(bucket[0].seq, spilled.seq);

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,86 @@ TEST(MultiEngineParity, RowAlignedShiftOnlyMovesMaxSlot) {
         << cfg.name;
     ref.max_slot = got.max_slot;
     ASSERT_EQ(got, ref) << cfg.name;
+  }
+}
+
+// ---- serial forward lane ----
+
+// A loop over 24 locals whose body is mostly long stretches of nodes
+// that only relay the bundle: a 33-node arithmetic run with no local or
+// memory access, register writes far from their readers, a forward
+// branch, and an ordered memory read and write. Most serial hops take
+// the kernels' pass-through exit.
+Program pass_through_program() {
+  Program p;
+  Assembler a(p, "lane.stretch(IA)I", "lane");
+  a.args({ValueType::Int, ValueType::Ref}).returns(ValueType::Int).locals(24);
+  for (int r = 2; r < 24; ++r) a.iconst(r).istore(r);
+  auto body = a.new_label(), skip = a.new_label(), test = a.new_label();
+  a.goto_(test);
+  a.bind(body);
+  a.iload(2);
+  for (int k = 1; k <= 16; ++k) a.iconst(k).op(Op::iadd);
+  a.istore(4);
+  a.iload(3).ifeq(skip);
+  a.iinc(6, 1);
+  a.bind(skip);
+  a.aload(1).iload(0).op(Op::iaload).istore(5);
+  a.aload(1).iload(0).iload(23).op(Op::iastore);
+  a.iinc(0, -1);
+  a.bind(test);
+  a.iload(0).ifgt(body);
+  a.iload(4).iload(5).op(Op::iadd).op(Op::ireturn);
+  p.methods.push_back(a.build());
+  return p;
+}
+
+// The forward lane and the pass-through exit change no hop: ticks,
+// serial messages and the Table 26 overlap are pinned per config and
+// IDU packing (values produced before the lane existed; idus 4 also
+// drives the execution-unit wait queue), and a lone residency matches
+// Engine::run bit for bit in both scenarios.
+TEST(ForwardLane, PassThroughStretchesArePinnedOnEveryConfig) {
+  struct Pin {
+    std::int64_t ticks, serial_messages, exec_1plus, exec_2plus;
+  };
+  // Table 15 order; BP1, idus_per_node 1 then 4.
+  const Pin pins[6][2] = {
+      {{492, 12906, 373, 130}, {501, 12906, 396, 169}},
+      {{7187, 12906, 4444, 1525}, {5361, 12906, 4240, 1916}},
+      {{3368, 12906, 1952, 836}, {2409, 12906, 1818, 952}},
+      {{2116, 12906, 1109, 355}, {1457, 12906, 1055, 442}},
+      {{3250, 12906, 1243, 282}, {1590, 12906, 1072, 375}},
+      {{3141, 12906, 1221, 331}, {1602, 12906, 1025, 437}},
+  };
+  const Program p = pass_through_program();
+  const bytecode::Method& m = p.methods[0];
+  ASSERT_EQ(m.max_locals, 24);
+  const fabric::DataflowGraph graph = fabric::build_dataflow_graph(m, p.pool);
+  const std::vector<sim::MachineConfig> configs = sim::table15_configs();
+  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+    for (const int idus : {1, 4}) {
+      sim::MachineConfig cfg = configs[ci];
+      cfg.idus_per_node = idus;
+      const ExecPlan plan = ExecPlanBuilder().build(m, graph, nullptr, cfg);
+      ASSERT_TRUE(plan.fits()) << cfg.name;
+      for (const auto scenario : {BranchPredictor::Scenario::BP1,
+                                  BranchPredictor::Scenario::BP2}) {
+        const RunMetrics ref = single_run(cfg, m, plan, scenario);
+        ASSERT_TRUE(ref.completed) << cfg.name << " idus " << idus;
+        ASSERT_EQ(multi_run(cfg, m, plan, 0, scenario), ref)
+            << cfg.name << " idus " << idus;
+        if (scenario != BranchPredictor::Scenario::BP1) continue;
+        const Pin& pin = pins[ci][idus == 1 ? 0 : 1];
+        EXPECT_EQ(ref.ticks, pin.ticks) << cfg.name << " idus " << idus;
+        EXPECT_EQ(ref.serial_messages, pin.serial_messages)
+            << cfg.name << " idus " << idus;
+        EXPECT_EQ(ref.ticks_exec_1plus, pin.exec_1plus)
+            << cfg.name << " idus " << idus;
+        EXPECT_EQ(ref.ticks_exec_2plus, pin.exec_2plus)
+            << cfg.name << " idus " << idus;
+      }
+    }
   }
 }
 
@@ -756,9 +837,9 @@ TEST(FabricServe, LruEvictionRecyclesTinyFabric) {
   EXPECT_GT(rep.plans_shared, 0);
 }
 
-// A method that exceeds the fabric even when empty is rejected; smaller
-// methods in the same stream still complete.
-TEST(FabricServe, NeverFittingMethodIsRejected) {
+// A small method and one that exceeds a 20-node fabric even when it is
+// empty, served as one stream of 16 requests.
+serve::ServeReport never_fitting_report() {
   Program p;
   {
     Assembler a(p, "serve.small(I)I", "serve");
@@ -780,13 +861,45 @@ TEST(FabricServe, NeverFittingMethodIsRejected) {
   stream.seed = 9;
   stream.num_requests = 16;
   stream.hot_fraction_256 = 0;
-  const serve::ServeReport rep = serve::serve(p, {0, 1}, cfg, stream);
+  return serve::serve(p, {0, 1}, cfg, stream);
+}
+
+// A method that exceeds the fabric even when empty is rejected; smaller
+// methods in the same stream still complete.
+TEST(FabricServe, NeverFittingMethodIsRejected) {
+  const serve::ServeReport rep = never_fitting_report();
   EXPECT_GT(rep.rejected, 0);
   EXPECT_GT(rep.completed, 0);
   EXPECT_EQ(rep.completed + rep.rejected + rep.timed_out, rep.requests);
   for (const serve::RequestOutcome& o : rep.outcomes) {
     EXPECT_EQ(o.rejected, o.method_index == 1) << o.request_id;
   }
+}
+
+// The rejection above names its reason: the oversized method never fits
+// an empty fabric, and the termination guard forced nothing out. The
+// split reaches the JSON report; the digest keeps only the flag.
+TEST(FabricServe, OversizedMethodReportsNeverFits) {
+  serve::ServeReport rep = never_fitting_report();
+  ASSERT_GT(rep.rejected, 0);
+  EXPECT_EQ(rep.rejected_never_fits, rep.rejected);
+  EXPECT_EQ(rep.rejected_forced, 0);
+  for (const serve::RequestOutcome& o : rep.outcomes) {
+    EXPECT_EQ(o.reject_reason, o.rejected ? serve::RejectReason::NeverFits
+                                          : serve::RejectReason::None)
+        << o.request_id;
+  }
+  std::ostringstream json;
+  rep.write_json(json);
+  EXPECT_NE(json.str().find("\"rejected_never_fits\": " +
+                            std::to_string(rep.rejected)),
+            std::string::npos);
+  EXPECT_NE(json.str().find("\"rejected_forced\": 0"), std::string::npos);
+  const std::uint64_t digest = rep.digest();
+  for (serve::RequestOutcome& o : rep.outcomes) {
+    if (o.rejected) o.reject_reason = serve::RejectReason::TerminationGuard;
+  }
+  EXPECT_EQ(rep.digest(), digest);
 }
 
 // Same-method serialization backs requests up behind a busy Anchor: the
