@@ -187,16 +187,17 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     }
   }
 
-  // Everything a worker lane owns privately: engines (whose workspaces
-  // amortize per-run allocations across the lane's methods), fabrics for
-  // the placement phase, a telemetry registry, cache scratch buffers,
-  // and phase timers. Nothing here is touched by another thread while
-  // the sweep runs.
+  // Everything a worker lane owns privately: one engine (its workspace
+  // amortizes per-run allocations across the lane's methods, and since
+  // a plan carries its config's timing model, one engine runs every
+  // config's plans), fabrics for placement, a telemetry registry, cache
+  // scratch buffers, and phase timers. Nothing here is touched by
+  // another thread while the sweep runs.
   struct LaneState {
-    std::vector<sim::Engine> engines;
+    std::optional<sim::Engine> engine;
     std::vector<fabric::Fabric> fabrics;
     obs::MetricsRegistry metrics;
-    // check_bounds scratch: the lane's engines write each run's counters
+    // check_bounds scratch: the lane's engine writes each run's counters
     // here so the per-run buffer high-water marks can be checked against
     // the static bound; reset before every run. When collect_metrics is
     // also on, each run's counters are merged into `metrics` afterwards
@@ -215,33 +216,16 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     std::size_t verify_mismatch_cells = 0;
   };
 
-  // Per-work-item precompute handed from the prepare phase to the
-  // execute phase. Built by whichever lane draws the item in phase A,
-  // read (possibly by a DIFFERENT lane) in phase B — the thread-pool
-  // barrier between the phases orders the hand-off, and phase B treats
-  // everything here as read-only except the cache record upsert.
-  struct Precomp {
-    bool have_record = false;
-    std::size_t cached_cells = 0;
-    bool full_hit = false;  // every cell served from cache (not verify)
-    std::vector<const cache::CellRecord*> cell_hits;
-    cache::MethodRecord record;
-    fabric::DataflowGraph graph;
-    std::vector<fabric::Placement> placements;
-    std::vector<sim::ExecPlan> plans;  // one per config unless full_hit
-  };
-
   auto make_lane = [&] {
     auto lane = std::make_unique<LaneState>();
     lane->fabrics.reserve(sweep.configs.size());
-    lane->engines.reserve(sweep.configs.size());
     sim::EngineOptions engine_options = options.engine;
     if (options.collect_metrics) engine_options.metrics = &lane->metrics;
     if (options.check_bounds) engine_options.metrics = &lane->bounds_reg;
     if (options.attribution) engine_options.flight = &lane->flight;
+    lane->engine.emplace(sweep.configs.front(), engine_options);
     for (const sim::MachineConfig& cfg : sweep.configs) {
       lane->fabrics.emplace_back(cfg.fabric_options());
-      lane->engines.emplace_back(cfg, engine_options);
     }
     return lane;
   };
@@ -298,82 +282,23 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     std::fflush(stderr);
   };
 
-  // Phase A, one task per (deduplicated) method: probe the cache, and
-  // for anything not fully served, build the dataflow graph, the
-  // per-config placements, and the per-config execution plans
-  // (docs/PERF.md "Execution plans"), each read-only and shared by every
-  // worker lane and both scenarios in phase B. A full cache hit builds
-  // the static structures only when a static-check mode (lint / bounds)
-  // needs them — never the plans, so the warm-cache fast path stays
+  // The memory bound, observable: plans alive across all lanes now, and
+  // the most ever alive at once (SweepProfile::peak_live_plans).
+  std::atomic<std::size_t> live_plans{0};
+  std::atomic<std::size_t> peak_live_plans{0};
+
+  // One task per (deduplicated) method: probe the cache; for anything
+  // not fully served, build the dataflow graph, the per-config
+  // placements and execution plans (docs/PERF.md "Execution plans"),
+  // run every config × scenario cell from them on the lane's engine,
+  // and store the record. A method's plans are read only by its own
+  // cells, so they die with the task: at most one method's plans per
+  // lane are alive at once. A full cache hit builds the static
+  // structures only when a static-check mode (lint / bounds) needs them,
+  // and plans only for bounds, so the warm-cache fast path stays
   // plan-free.
   const bool profile = options.profile;
-  std::vector<std::unique_ptr<Precomp>> pre(work.size());
-  auto prepare_method = [&](std::size_t wi, LaneState& lane) {
-    auto t = profile ? Clock::now() : Clock::time_point{};
-    auto lap = [&](double& acc) {
-      if (!profile) return;
-      const auto now = Clock::now();
-      acc += std::chrono::duration<double>(now - t).count();
-      t = now;
-    };
-
-    const std::size_t pi = work[wi];
-    const bytecode::Method& m = *methods[picks[pi]];
-    pre[wi] = std::make_unique<Precomp>();
-    Precomp& p = *pre[wi];
-
-    // ---- cache probe ----
-    if (store.has_value()) {
-      p.cell_hits.assign(cells_per_method, nullptr);
-      p.have_record =
-          store->load(cache::record_key(body_hash[pi], pool_hash),
-                      cache::record_fingerprint(), p.record);
-      if (p.have_record) {
-        for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-          for (std::size_t si = 0; si < n_scenarios; ++si) {
-            const cache::Hash128 key = cache::cell_key(
-                body_hash[pi], pool_hash, config_hash[ci], engine_hash,
-                options.scenarios[si]);
-            for (const cache::CellRecord& cell : p.record.cells) {
-              if (cell.key == key) {
-                p.cell_hits[ci * n_scenarios + si] = &cell;
-                ++p.cached_cells;
-                break;
-              }
-            }
-          }
-        }
-      }
-      p.full_hit = p.cached_cells == cells_per_method &&
-                   mode != cache::CacheMode::Verify;
-      lap(lane.prof.cache_s);
-    }
-
-    const bool need_static =
-        !p.full_hit || options.lint || options.check_bounds;
-    if (!need_static) return;
-    p.graph = fabric::build_dataflow_graph(m, pool);
-    lap(lane.prof.resolve_s);
-    p.placements.reserve(sweep.configs.size());
-    for (const fabric::Fabric& f : lane.fabrics) {
-      p.placements.push_back(fabric::load_method(f, m));
-    }
-    lap(lane.prof.place_s);
-    if (!p.full_hit) {
-      p.plans.reserve(sweep.configs.size());
-      for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-        p.plans.push_back(lane.plan_builder.build(
-            m, p.graph, &p.placements[ci], sweep.configs[ci]));
-      }
-      lap(lane.prof.plan_s);
-    }
-  };
-
-  // Phase B, one task per (deduplicated) method: serve full cache hits
-  // from the record, or run every config × scenario cell on this lane's
-  // engines from the shared pre-lowered plans. The item's precompute
-  // block is freed as soon as its cells are done.
-  auto run_method = [&](std::size_t wi, LaneState& lane) {
+  auto sweep_method = [&](std::size_t wi, LaneState& lane) {
     auto t = profile ? Clock::now() : Clock::time_point{};
     auto lap = [&](double& acc) {
       if (!profile) return;
@@ -388,43 +313,115 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
     const util::InternedString& mname = lane.intern.get(m.name);
     const util::InternedString& bname = lane.intern.get(m.benchmark);
     SweepSample* out = sweep.samples.data() + pi * cells_per_method;
-    Precomp& p = *pre[wi];
 
-    // Full hit outside verify mode: serve every cell from the record.
-    // (Lint and bounds debug modes still check the phase-A graph +
-    // placements — they are static checks — but execution stays
-    // skipped; bounds can then only assert the ticks direction, since
-    // no registry ran.)
-    if (p.full_hit) {
-      if (options.lint) {
-        const bytecode::VerifyResult vr = bytecode::verify(m, pool);
-        lint_graph(m, pool, vr, p.graph, options.lint_options,
-                   lint_reports[pi]);
-        for (std::size_t ci = 0; ci < lane.fabrics.size(); ++ci) {
-          lint_placement(m, lane.fabrics[ci], p.placements[ci], vr,
-                         options.lint_options, lint_reports[pi]);
-        }
-      }
-      if (options.check_bounds) {
+    // ---- cache probe ----
+    bool have_record = false;
+    std::size_t cached_cells = 0;
+    bool full_hit = false;  // every cell served from cache (not verify)
+    std::vector<const cache::CellRecord*> cell_hits;
+    cache::MethodRecord record;
+    if (store.has_value()) {
+      cell_hits.assign(cells_per_method, nullptr);
+      have_record = store->load(cache::record_key(body_hash[pi], pool_hash),
+                                cache::record_fingerprint(), record);
+      if (have_record) {
         for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
-          // A full hit built no plans; lower one for the analyzer.
-          const MethodBounds bounds = compute_bounds(
-              m, lane.plan_builder.build(m, p.graph, &p.placements[ci],
-                                         sweep.configs[ci]));
           for (std::size_t si = 0; si < n_scenarios; ++si) {
-            check_metrics_against_bounds(
-                m.name, sweep.configs[ci].name,
-                sweep_scenario_name(options.scenarios[si]),
-                p.cell_hits[ci * n_scenarios + si]->metrics,
-                nullptr, bounds, lint_reports[pi]);
+            const cache::Hash128 key = cache::cell_key(
+                body_hash[pi], pool_hash, config_hash[ci], engine_hash,
+                options.scenarios[si]);
+            for (const cache::CellRecord& cell : record.cells) {
+              if (cell.key == key) {
+                cell_hits[ci * n_scenarios + si] = &cell;
+                ++cached_cells;
+                break;
+              }
+            }
           }
         }
       }
-      lap(lane.prof.verify_s);
+      full_hit = cached_cells == cells_per_method &&
+                 mode != cache::CacheMode::Verify;
+      lap(lane.prof.cache_s);
+    }
+
+    // ---- static structures ----
+    fabric::DataflowGraph graph;
+    std::vector<fabric::Placement> placements;
+    std::vector<sim::ExecPlan> plans;  // one per config, when built
+    if (!full_hit || options.lint || options.check_bounds) {
+      graph = fabric::build_dataflow_graph(m, pool);
+      lap(lane.prof.resolve_s);
+      placements.reserve(sweep.configs.size());
+      for (const fabric::Fabric& f : lane.fabrics) {
+        placements.push_back(fabric::load_method(f, m));
+      }
+      lap(lane.prof.place_s);
+    }
+    if (!full_hit || options.check_bounds) {
+      plans.reserve(sweep.configs.size());
+      for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
+        plans.push_back(lane.plan_builder.build(m, graph, &placements[ci],
+                                                sweep.configs[ci]));
+      }
+      const std::size_t live =
+          live_plans.fetch_add(plans.size()) + plans.size();
+      std::size_t peak = peak_live_plans.load();
+      while (live > peak &&
+             !peak_live_plans.compare_exchange_weak(peak, live)) {
+        // `peak` now holds the current maximum; retry while ours is larger.
+      }
+      lap(lane.prof.plan_s);
+    }
+
+    // ---- static checks ----
+    if (options.lint) {
+      const bytecode::VerifyResult vr = bytecode::verify(m, pool);
+      lint_graph(m, pool, vr, graph, options.lint_options,
+                 lint_reports[pi]);
+      for (std::size_t ci = 0; ci < lane.fabrics.size(); ++ci) {
+        lint_placement(m, lane.fabrics[ci], placements[ci], vr,
+                       options.lint_options, lint_reports[pi]);
+      }
+    }
+    std::vector<MethodBounds> bounds;
+    if (options.check_bounds) {
+      bounds.reserve(sweep.configs.size());
+      // The analyzer reads the same lowered image the engine runs.
+      for (const sim::ExecPlan& plan : plans) {
+        bounds.push_back(compute_bounds(m, plan));
+      }
+    }
+    std::int32_t back_jumps = 0;
+    for (std::size_t i = 0; i < m.code.size(); ++i) {
+      if (m.code[i].is_branch() &&
+          m.code[i].target < static_cast<std::int32_t>(i)) {
+        ++back_jumps;
+      }
+    }
+    lap(lane.prof.verify_s);
+
+    // Bookkeeping of both exits. The method's graph, placements and plans
+    // are locals of this task, so they are freed when it returns.
+    auto finish = [&] {
+      ++lane.prof.methods;
+      lane.prof.cells += cells_per_method;
+      live_plans.fetch_sub(plans.size());
+      heartbeat();
+    };
+
+    if (full_hit) {
+      // Serve every cell from the record. Execution stays skipped, so
+      // bounds can only assert the ticks direction: no registry ran.
       for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
         for (std::size_t si = 0; si < n_scenarios; ++si) {
-          const cache::CellRecord& cell =
-              *p.cell_hits[ci * n_scenarios + si];
+          const cache::CellRecord& cell = *cell_hits[ci * n_scenarios + si];
+          if (options.check_bounds) {
+            check_metrics_against_bounds(
+                m.name, sweep.configs[ci].name,
+                sweep_scenario_name(options.scenarios[si]), cell.metrics,
+                nullptr, bounds[ci], lint_reports[pi]);
+          }
           SweepSample& sample = out[ci * n_scenarios + si];
           sample.method = mname;
           sample.benchmark = bname;
@@ -439,40 +436,11 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       lap(lane.prof.cache_s);
       lane.prof.cache_hit_cells += cells_per_method;
       hb_hit_cells.fetch_add(cells_per_method, std::memory_order_relaxed);
-      ++lane.prof.methods;
-      lane.prof.cells += cells_per_method;
-      pre[wi].reset();
-      heartbeat();
+      finish();
       return;
     }
 
     // ---- compute path ----
-    std::int32_t back_jumps = 0;
-    for (std::size_t i = 0; i < m.code.size(); ++i) {
-      if (m.code[i].is_branch() &&
-          m.code[i].target < static_cast<std::int32_t>(i)) {
-        ++back_jumps;
-      }
-    }
-    if (options.lint) {
-      const bytecode::VerifyResult vr = bytecode::verify(m, pool);
-      lint_graph(m, pool, vr, p.graph, options.lint_options,
-                 lint_reports[pi]);
-      for (std::size_t ci = 0; ci < lane.fabrics.size(); ++ci) {
-        lint_placement(m, lane.fabrics[ci], p.placements[ci], vr,
-                       options.lint_options, lint_reports[pi]);
-      }
-    }
-    std::vector<MethodBounds> bounds;
-    if (options.check_bounds) {
-      bounds.reserve(sweep.configs.size());
-      // The analyzer reads the same lowered image the engine runs.
-      for (const sim::ExecPlan& plan : p.plans) {
-        bounds.push_back(compute_bounds(m, plan));
-      }
-    }
-    lap(lane.prof.verify_s);
-
     for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
       for (std::size_t si = 0; si < n_scenarios; ++si) {
         sim::BranchPredictor predictor(options.scenarios[si]);
@@ -485,7 +453,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         sample.back_jumps = back_jumps;
         sample.is_hot = is_hot;
         if (options.check_bounds) lane.bounds_reg = obs::MetricsRegistry{};
-        sample.metrics = lane.engines[ci].run(m, p.plans[ci], predictor);
+        sample.metrics = lane.engine->run(m, plans[ci], predictor);
         if (options.attribution) {
           obs::AttributeOptions ao;
           ao.detail = false;  // the sweep keeps only the category vector
@@ -517,7 +485,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       bool verify_clean = true;
       if (mode == cache::CacheMode::Verify) {
         for (std::size_t idx = 0; idx < cells_per_method; ++idx) {
-          const cache::CellRecord* cell = p.cell_hits[idx];
+          const cache::CellRecord* cell = cell_hits[idx];
           if (cell == nullptr) continue;
           const SweepSample& fresh = out[idx];
           if (cell->metrics != fresh.metrics ||
@@ -534,10 +502,10 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
                 static_cast<int>(options.scenarios[idx % n_scenarios]));
           }
         }
-        lane.prof.cache_hit_cells += p.cached_cells;
-        lane.prof.cache_miss_cells += cells_per_method - p.cached_cells;
-        hb_hit_cells.fetch_add(p.cached_cells, std::memory_order_relaxed);
-        hb_miss_cells.fetch_add(cells_per_method - p.cached_cells,
+        lane.prof.cache_hit_cells += cached_cells;
+        lane.prof.cache_miss_cells += cells_per_method - cached_cells;
+        hb_hit_cells.fetch_add(cached_cells, std::memory_order_relaxed);
+        hb_miss_cells.fetch_add(cells_per_method - cached_cells,
                                 std::memory_order_relaxed);
       } else {
         lane.prof.cache_miss_cells += cells_per_method;
@@ -549,7 +517,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       // skipping the save keeps repeated verify runs read-only.
       const bool verify_dirty =
           mode == cache::CacheMode::Verify &&
-          (!verify_clean || p.cached_cells != cells_per_method);
+          (!verify_clean || cached_cells != cells_per_method);
       if (mode == cache::CacheMode::ReadWrite || verify_dirty) {
         // Upsert this sweep's cells into the record, preserving cells
         // other sweep contexts (configs, schedulers, tick budgets) put
@@ -558,7 +526,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
         cache::MethodRecord next;
         next.fingerprint = cache::record_fingerprint();
         next.method_name = m.name;
-        if (p.have_record) next.cells = p.record.cells;
+        if (have_record) next.cells = record.cells;
         for (std::size_t ci = 0; ci < sweep.configs.size(); ++ci) {
           for (std::size_t si = 0; si < n_scenarios; ++si) {
             const SweepSample& fresh = out[ci * n_scenarios + si];
@@ -587,10 +555,7 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
       }
       lap(lane.prof.cache_s);
     }
-    ++lane.prof.methods;
-    lane.prof.cells += cells_per_method;
-    pre[wi].reset();
-    heartbeat();
+    finish();
   };
 
   const unsigned threads = util::ThreadPool::resolve_clamped(
@@ -599,30 +564,21 @@ Sweep run_sweep(const std::vector<const bytecode::Method*>& methods,
   if (threads <= 1 || work.size() <= 1) {
     lanes.push_back(make_lane());
     for (std::size_t wi = 0; wi < work.size(); ++wi) {
-      prepare_method(wi, *lanes[0]);
-    }
-    for (std::size_t wi = 0; wi < work.size(); ++wi) {
-      run_method(wi, *lanes[0]);
+      sweep_method(wi, *lanes[0]);
     }
   } else {
     util::ThreadPool workers(threads);
-    // Per-lane state: lanes never share an Engine (each holds a mutable
-    // scratch workspace), and engines persist across the lane's methods
-    // so allocation reuse still pays off. The pool barrier between the
-    // two parallel_for calls publishes every phase-A Precomp (plans
-    // included) before any phase-B lane reads one — an item may land on
-    // a different lane in each phase, and phase B only ever reads the
-    // shared plans.
+    // Per-lane state: lanes never share an Engine (it holds a mutable
+    // scratch workspace), and a lane's engine persists across its
+    // methods so allocation reuse still pays off. A method's task owns
+    // everything it builds, so no lane ever reads another lane's plans.
     lanes.resize(workers.size());
     workers.parallel_for(work.size(), [&](std::size_t wi, unsigned lane) {
       if (lanes[lane] == nullptr) lanes[lane] = make_lane();
-      prepare_method(wi, *lanes[lane]);
-    });
-    workers.parallel_for(work.size(), [&](std::size_t wi, unsigned lane) {
-      if (lanes[lane] == nullptr) lanes[lane] = make_lane();
-      run_method(wi, *lanes[lane]);
+      sweep_method(wi, *lanes[lane]);
     });
   }
+  sweep.profile.peak_live_plans = peak_live_plans.load();
 
   for (const std::unique_ptr<LaneState>& lane : lanes) {
     if (lane == nullptr) {

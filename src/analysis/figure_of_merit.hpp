@@ -95,6 +95,12 @@ struct SweepProfile {
   };
   std::vector<Lane> lanes;  // index = worker lane; serial sweeps use [0]
   double wall_s = 0.0;      // whole-sweep wall clock
+  // The most sim::ExecPlans alive at once over all lanes: the sweep's
+  // memory bound. Each method's task lowers its plans (one per config),
+  // runs its cells and frees them, so this is at most configs × lanes —
+  // exactly the config count for a serial sweep that lowered anything,
+  // 0 for one served wholly from the cache.
+  std::size_t peak_live_plans = 0;
 
   Lane total() const;  // field-wise sum over lanes
 };

@@ -200,6 +200,8 @@ void write_sweep_json(std::ostream& os, const Sweep& sweep, int indent) {
   const SweepProfile::Lane total = sweep.profile.total();
   os << in1 << "\"profile\": {\n"
      << in2 << "\"wall_s\": " << sweep.profile.wall_s << ",\n"
+     << in2 << "\"peak_live_plans\": " << sweep.profile.peak_live_plans
+     << ",\n"
      << in2 << "\"total\": ";
   write_profile_lane(os, total);
   os << ",\n" << in2 << "\"lanes\": [";

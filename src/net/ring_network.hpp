@@ -24,6 +24,8 @@ struct RingLatencies {
   std::int64_t memory_write = 4;   // posted; the node does not stall
   std::int64_t constant_read = 4;  // unordered Method Area access
   std::int64_t gpp_service = 12;   // calls, object services
+
+  bool operator==(const RingLatencies&) const = default;
 };
 
 class RingNetwork {

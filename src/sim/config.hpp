@@ -39,6 +39,8 @@ struct MachineConfig {
   // change simulation results MUST appear here (and the leading version
   // tag must be bumped when the encoding changes shape).
   std::string canonical_text() const;
+
+  bool operator==(const MachineConfig&) const = default;
 };
 
 // The six Table 15 configurations, in paper order:

@@ -84,21 +84,21 @@ namespace {
 // uninstrumented instantiation (no metrics/tracer/flight) folds every
 // null-check guard to a constant, so the sweep hot path carries zero
 // instrumentation branches. Static per-node data is read through raw
-// const pointers into the ExecPlan arena.
+// const pointers into the ExecPlan arena, and the timing model is the
+// MachineConfig the plan was lowered for.
 template <bool kInstr>
 class Run {
  public:
-  Run(const MachineConfig& cfg, const EngineOptions& opt, const Method& m,
-      BranchPredictor& predictor, const ExecPlan& plan,
-      detail::EngineWorkspace& ws)
+  Run(const EngineOptions& opt, const Method& m, BranchPredictor& predictor,
+      const ExecPlan& plan, detail::EngineWorkspace& ws)
       : plan_(plan),
-        cfg_(cfg),
+        cfg_(plan.config()),
         opt_(opt),
         m_(m),
         predictor_(predictor),
-        k_(cfg.serial_per_mesh),
-        hop_(cfg.collapsed() ? 0 : 1),
-        idus_(std::max(cfg.idus_per_node, 1)),
+        k_(plan.serial_per_mesh()),
+        hop_(plan.hop_ticks()),
+        idus_(plan.idus_per_node()),
         mx_(opt.metrics),
         tr_(opt.tracer),
         fr_(opt.flight),
@@ -214,24 +214,22 @@ class Run {
     cal_.reset(detail::ring_buckets(cfg_, max_phys_, m_.max_locals));
   }
 
-  // Every schedule site names the delay category its event represents;
-  // with the recorder attached, one dependency edge is captured per
-  // event. `parent` -2 means "the event being dispatched right now"
-  // (cur_edge_); hold-release sites pass an explicit splice edge
-  // instead. Without a recorder the extra arguments are dead and the
-  // hook is the usual single null check. Force-inlined: the Event is
-  // 32 bytes, so an out-of-line call would shuttle it through the
-  // stack twice per event — measurably the hottest cost in the sweep.
-  [[gnu::always_inline]] inline void schedule(
-      Event ev, obs::PathCategory cat,
-      std::int32_t parent = kParentCurrent, std::int32_t from_phys = -1,
-      std::int32_t to_phys = -1, std::uint8_t opcode = 0) {
-    cal_.push(ev);
+  // Every schedule site enqueues its event in place (cal_.emplace) and
+  // then names the delay category the event represents; with the
+  // recorder attached, one dependency edge is captured per event, keyed
+  // on the seq emplace() returned. `parent` -2 means "the event being
+  // dispatched right now" (cur_edge_); hold-release sites pass an
+  // explicit splice edge instead. Without a recorder the call is the
+  // usual single null check.
+  void record_edge(std::int64_t seq, std::int64_t tick, std::int32_t node,
+                   obs::PathCategory cat,
+                   std::int32_t parent = kParentCurrent,
+                   std::int32_t from_phys = -1, std::int32_t to_phys = -1,
+                   std::uint8_t opcode = 0) {
     if (fr() != nullptr) {
       fr()->record_event(
-          ev.seq,
-          {now_, ev.tick, parent == kParentCurrent ? cur_edge_ : parent,
-           ev.node, from_phys, to_phys, cat, opcode});
+          seq, {now_, tick, parent == kParentCurrent ? cur_edge_ : parent,
+                node, from_phys, to_phys, cat, opcode});
     }
   }
 
@@ -278,6 +276,12 @@ class Run {
   }
 
   // ---- scheduling helpers ----
+  void schedule_service_done(std::int32_t node, std::int64_t tick) {
+    const std::int64_t seq =
+        cal_.emplace(tick, detail::kind_side(EvKind::ServiceDone), node);
+    record_edge(seq, tick, node, obs::PathCategory::RingService);
+  }
+
   std::int64_t serial_delay(std::int32_t from_node, std::int32_t to_node) {
     const std::int32_t a =
         from_node < 0 ? -1 : phys_[static_cast<std::size_t>(from_node)];
@@ -318,13 +322,12 @@ class Run {
       mx()->serial_hop_ticks += static_cast<std::uint64_t>(delay);
       ++mx()->serial_commands[static_cast<std::size_t>(tok.cmd)];
     }
-    Event ev;
-    ev.set(EvKind::Serial);
-    ev.node = to_node;
-    ev.cmd = tok.cmd;
-    ev.aux = tok.reg;
-    ev.tick = now_ + delay + extra;
-    schedule(ev, obs::PathCategory::SerialTransit, parent_edge);
+    const std::int64_t tick = now_ + delay + extra;
+    const std::int64_t seq =
+        cal_.emplace(tick, detail::kind_side(EvKind::Serial), to_node,
+                     tok.reg, /*prod=*/-1, /*res=*/0, tok.cmd);
+    record_edge(seq, tick, to_node, obs::PathCategory::SerialTransit,
+                parent_edge);
   }
 
   void send_mesh(std::int32_t producer) {
@@ -338,14 +341,12 @@ class Run {
     for (; e != end; ++e) {
       ++mesh_messages_;
       if (mx() != nullptr) record_mesh_metrics(*e);
-      Event ev;
-      ev.set(EvKind::Mesh, e->side);
-      ev.node = e->consumer;
-      ev.prod = producer;
-      ev.aux = epoch_[static_cast<std::size_t>(e->consumer)];
-      ev.tick = now_ + e->delivery_ticks;
-      schedule(ev, obs::PathCategory::MeshTransit, kParentCurrent,
-               from_phys, e->to_phys);
+      const std::int64_t tick = now_ + e->delivery_ticks;
+      const std::int64_t seq = cal_.emplace(
+          tick, detail::kind_side(EvKind::Mesh, e->side), e->consumer,
+          epoch_[static_cast<std::size_t>(e->consumer)], producer);
+      record_edge(seq, tick, e->consumer, obs::PathCategory::MeshTransit,
+                  kParentCurrent, from_phys, e->to_phys);
     }
   }
 
@@ -637,11 +638,10 @@ class Run {
           hold_edge(node, node_ready_edge_[u], obs::PathCategory::FireStall);
       node_ready_edge_[u] = -1;
     }
-    Event ev;
-    ev.set(EvKind::ExecDone);
-    ev.node = node;
-    ev.tick = now_ + cost;
-    schedule(ev, obs::PathCategory::Execution, parent, -1, -1, op_[u]);
+    const std::int64_t seq =
+        cal_.emplace(now_ + cost, detail::kind_side(EvKind::ExecDone), node);
+    record_edge(seq, now_ + cost, node, obs::PathCategory::Execution, parent,
+                -1, -1, op_[u]);
   }
 
   void release_execution_unit(std::int32_t node) {
@@ -759,11 +759,7 @@ class Run {
       if (mx() != nullptr || tr() != nullptr) {
         record_service(node, net::RingService::GppService, svc_ticks);
       }
-      Event ev;
-      ev.set(EvKind::ServiceDone);
-      ev.node = node;
-      ev.tick = now_ + svc_ticks;
-      schedule(ev, obs::PathCategory::RingService);
+      schedule_service_done(node, now_ + svc_ticks);
       return;
     }
     if (g == Group::MemRead) {
@@ -780,11 +776,7 @@ class Run {
       if (mx() != nullptr || tr() != nullptr) {
         record_service(node, net::RingService::MemoryRead, svc_ticks);
       }
-      Event ev;
-      ev.set(EvKind::ServiceDone);
-      ev.node = node;
-      ev.tick = now_ + svc_ticks;
-      schedule(ev, obs::PathCategory::RingService);
+      schedule_service_done(node, now_ + svc_ticks);
       return;
     }
     if (g == Group::MemWrite) {
@@ -994,15 +986,14 @@ const ExecPlan& plan_for(detail::EngineWorkspace& ws, const Method& m,
 
 // Instrumentation dispatch: the sweep hot path (no telemetry attached)
 // runs the Run<false> instantiation with every hook compiled out.
-RunMetrics execute_run(const MachineConfig& cfg, const EngineOptions& opt,
-                       const Method& m, const ExecPlan& plan,
-                       BranchPredictor& predictor,
+RunMetrics execute_run(const EngineOptions& opt, const Method& m,
+                       const ExecPlan& plan, BranchPredictor& predictor,
                        detail::EngineWorkspace& ws) {
   if (opt.metrics != nullptr || opt.tracer != nullptr ||
       opt.flight != nullptr) {
-    return Run<true>(cfg, opt, m, predictor, plan, ws).execute();
+    return Run<true>(opt, m, predictor, plan, ws).execute();
   }
-  return Run<false>(cfg, opt, m, predictor, plan, ws).execute();
+  return Run<false>(opt, m, predictor, plan, ws).execute();
 }
 
 }  // namespace
@@ -1019,19 +1010,19 @@ Engine::~Engine() = default;
 RunMetrics Engine::run(const Method& m, const DataflowGraph& graph,
                        BranchPredictor& predictor) {
   const ExecPlan& plan = plan_for(*ws_, m, graph, nullptr, config_);
-  return execute_run(config_, options_, m, plan, predictor, *ws_);
+  return execute_run(options_, m, plan, predictor, *ws_);
 }
 
 RunMetrics Engine::run(const Method& m, const DataflowGraph& graph,
                        const fabric::Placement& placement,
                        BranchPredictor& predictor) {
   const ExecPlan& plan = plan_for(*ws_, m, graph, &placement, config_);
-  return execute_run(config_, options_, m, plan, predictor, *ws_);
+  return execute_run(options_, m, plan, predictor, *ws_);
 }
 
 RunMetrics Engine::run(const Method& m, const ExecPlan& plan,
                        BranchPredictor& predictor) {
-  return execute_run(config_, options_, m, plan, predictor, *ws_);
+  return execute_run(options_, m, plan, predictor, *ws_);
 }
 
 }  // namespace javaflow::sim

@@ -117,7 +117,7 @@ struct EngineOptions {
 // workspace; all per-run state lives in the workspace and is fully
 // re-initialized by each run() call. Distinct Engine instances may run
 // concurrently on different threads (the parallel sweep gives each
-// worker lane its own engines); a single instance is not re-entrant.
+// worker lane its own engine); a single instance is not re-entrant.
 class Engine {
  public:
   explicit Engine(MachineConfig config, EngineOptions options = {});
@@ -144,13 +144,15 @@ class Engine {
                  BranchPredictor& predictor);
 
   // Run from a pre-lowered plan (docs/PERF.md "Execution plans"). The
-  // plan must have been built for `m` under this engine's MachineConfig;
-  // it embeds the graph, placement, and timing model, so neither is
-  // consulted. The plan is read-only here — the parallel sweep shares
-  // one plan across worker lanes.
+  // plan must have been built for `m`; it embeds the graph, placement,
+  // and the MachineConfig it was lowered for, whose timing model this
+  // run uses instead of the engine's own config. So one engine — one
+  // workspace — runs plans of any config: a sweep lane runs all six
+  // configs' plans on one engine. The plan is read-only here.
   RunMetrics run(const bytecode::Method& m, const ExecPlan& plan,
                  BranchPredictor& predictor);
 
+  // The config the (graph[, placement]) overloads lower for.
   const MachineConfig& config() const noexcept { return config_; }
 
  private:

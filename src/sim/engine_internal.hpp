@@ -191,12 +191,15 @@ struct Event {
   std::uint8_t side() const noexcept {
     return static_cast<std::uint8_t>(kind_side >> 2);
   }
-  void set(EvKind k, std::uint8_t side = 0) noexcept {
-    kind_side = static_cast<std::uint8_t>(static_cast<std::uint8_t>(k) |
-                                          (side << 2));
-  }
 };
 static_assert(sizeof(Event) == 32, "Event should stay two cache quads");
+
+// The packed Event::kind_side byte of an event of kind `k` (`side` is
+// the mesh operand side, 0 for every other kind).
+constexpr std::uint8_t kind_side(EvKind k, std::uint8_t side = 0) noexcept {
+  return static_cast<std::uint8_t>(static_cast<std::uint8_t>(k) |
+                                   (side << 2));
+}
 
 // Min-heap comparator over (tick, seq). (tick, seq) is a strict total
 // order — seq is unique — so the pop order is deterministic regardless
@@ -208,10 +211,11 @@ struct EventAfter {
   }
 };
 
-// One calendar bucket: a tick's events in push (= seq) order. The append
-// is a store into spare capacity, inlined at every schedule site (a
-// std::vector push_back stays an out-of-line call there); growth is out
-// of line, and clear() keeps the capacity, so a warm bucket never
+// One calendar bucket: a tick's events in seq order. An append
+// hands out the next slot of spare capacity, inlined at every schedule
+// site (a std::vector push_back stays an out-of-line call there), so the
+// caller writes the event's fields straight into it; growth is out of
+// line, and clear() keeps the capacity, so a warm bucket never
 // allocates.
 class Bucket {
  public:
@@ -222,18 +226,15 @@ class Bucket {
   const Event* end() const noexcept { return slots_.data() + size_; }
   void clear() noexcept { size_ = 0; }
 
-  [[gnu::always_inline]] inline void push_back(const Event& ev) {
-    if (size_ < slots_.size()) [[likely]] {
-      slots_[size_++] = ev;
-    } else {
-      grow_push(ev);
-    }
+  [[gnu::always_inline]] inline Event& append() {
+    if (size_ < slots_.size()) [[likely]] return slots_[size_++];
+    return grow_append();
   }
 
  private:
-  [[gnu::noinline]] void grow_push(const Event& ev) {
+  [[gnu::noinline]] Event& grow_append() {
     slots_.resize(std::max<std::size_t>(8, 2 * slots_.size()));
-    slots_[size_++] = ev;
+    return slots_[size_++];
   }
 
   std::vector<Event> slots_;  // slots_.size() is the capacity
@@ -277,7 +278,7 @@ inline std::int64_t ring_buckets(const MachineConfig& cfg,
 // The event queue of both kernels: a ring of one-tick buckets with an
 // occupancy bitmap, plus an overflow heap for events beyond the ring.
 // It hands events out in ascending (tick, seq), where seq is stamped by
-// push() in call order:
+// emplace() in call order:
 //
 //   * every bucket in the window [cursor, cursor + buckets) holds
 //     exactly one tick, so a bucket's events share a tick and sit in
@@ -353,16 +354,34 @@ class CalendarQueue {
     live_ = 0;
   }
 
-  // Stamps `ev.seq` and enqueues it. `ev.tick` must not precede the
-  // cursor. Force-inlined: it sits on every schedule site of the kernel.
-  [[gnu::always_inline]] inline void push(Event& ev) {
-    ev.seq = seq_++;
+  // Enqueues the event with these fields, stamps its seq, and returns
+  // the seq (the flight recorder keys its dependency edges on it).
+  // `tick` must not precede the cursor. Force-inlined: it sits on every
+  // schedule site of both kernels, and an in-window event is written
+  // field by field straight into its bucket slot — building an Event
+  // first and copying it costs a store-forwarding stall per event.
+  [[gnu::always_inline]] inline std::int64_t emplace(
+      std::int64_t tick, std::uint8_t kind_side, std::int32_t node,
+      std::int32_t aux = 0, std::int32_t prod = -1, std::uint16_t res = 0,
+      net::Command cmd = net::Command::HeadToken) {
+    const std::int64_t seq = seq_++;
     ++live_;
-    if (ev.tick < cur_ + count_) [[likely]] {
-      insert(ev);
+    if (tick < cur_ + count_) [[likely]] {
+      const auto bi = static_cast<std::size_t>(tick & mask_);
+      Event& ev = buckets_[bi].append();
+      ev.tick = tick;
+      ev.seq = seq;
+      ev.node = node;
+      ev.aux = aux;
+      ev.prod = prod;
+      ev.res = res;
+      ev.kind_side = kind_side;
+      ev.cmd = cmd;
+      words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
     } else {
-      spill(ev);
+      spill(Event{tick, seq, node, aux, prod, res, kind_side, cmd});
     }
+    return seq;
   }
 
   // Pulls every spilled event whose tick entered the window into its
@@ -427,7 +446,7 @@ class CalendarQueue {
   // it) or a drained queue. Any other jump must use advance_to().
   void set_cursor(std::int64_t tick) { cur_ = tick; }
 
-  // The cursor tick's bucket. Safe to hold across push(): the bucket
+  // The cursor tick's bucket. Safe to hold across emplace(): the bucket
   // array never resizes between reset() calls (a bucket's own storage
   // may grow, so drains index it rather than hold element pointers).
   Bucket& current() {
@@ -450,13 +469,8 @@ class CalendarQueue {
   std::int64_t live() const noexcept { return live_; }
 
  private:
-  [[gnu::always_inline]] inline void insert(const Event& ev) {
-    const auto bi = static_cast<std::size_t>(ev.tick & mask_);
-    buckets_[bi].push_back(ev);
-    words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
-  }
-
-  // Kept out of line so push() stays small enough to inline everywhere.
+  // Kept out of line so emplace() stays small enough to inline
+  // everywhere.
   [[gnu::noinline]] void spill(const Event& ev) {
     overflow_.push_back(ev);
     std::push_heap(overflow_.begin(), overflow_.end(), EventAfter{});
@@ -465,7 +479,9 @@ class CalendarQueue {
   [[gnu::noinline]] void migrate_spilled() {
     while (!overflow_.empty() && overflow_.front().tick < cur_ + count_) {
       std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
-      insert(overflow_.back());
+      const auto bi = static_cast<std::size_t>(overflow_.back().tick & mask_);
+      buckets_[bi].append() = overflow_.back();
+      words_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
       overflow_.pop_back();
     }
   }

@@ -292,7 +292,7 @@ struct MultiEngine::Impl {
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,
                    std::int64_t start_tick, obs::MetricsRegistry* rmx) {
-    if (!plan.fits()) return -1;
+    if (!plan.fits() || plan.config() != cfg) return -1;
     ResidentId id;
     if (!free_ids.empty()) {
       id = free_ids.back();
@@ -531,9 +531,14 @@ struct MultiEngine::Impl {
     check_stuck(r, ev.res);
   }
 
-  [[gnu::always_inline]] inline void push(Slot& r, Event& ev) {
+  // Enqueues an event of residency `res` in place (CalendarQueue::
+  // emplace) and counts it in flight.
+  [[gnu::always_inline]] inline void push(
+      Slot& r, std::uint16_t res, std::int64_t tick, std::uint8_t kind_side,
+      std::int32_t node, std::int32_t aux = 0, std::int32_t prod = -1,
+      Command cmd = Command::HeadToken) {
     ++r.inflight;
-    cal.push(ev);
+    cal.emplace(tick, kind_side, node, aux, prod, res, cmd);
   }
 
   // ---- lifetime ----
@@ -777,15 +782,9 @@ struct MultiEngine::Impl {
         note_serial(*res_mx<kInstr>(res), delay, tok.cmd);
       }
     }
-    Event ev;
-    ev.set(EvKind::Serial, extra != 0 ? kFollower : 0);
-    ev.node = to_g;
-    ev.res = res;
-    ev.cmd = tok.cmd;
-    ev.aux = tok.reg;
-    ev.prod = from_phys;
-    ev.tick = arrive + extra;
-    push(r, ev);
+    push(r, res, arrive + extra,
+         detail::kind_side(EvKind::Serial, extra != 0 ? kFollower : 0), to_g,
+         tok.reg, from_phys, tok.cmd);
   }
 
   static void note_serial(obs::MetricsRegistry& mx, std::int64_t delay,
@@ -818,14 +817,9 @@ struct MultiEngine::Impl {
         note_mesh(*res_mx<kInstr>(res), r, *e);
       }
       const std::int32_t consumer_g = r.base + e->consumer;
-      Event ev;
-      ev.set(EvKind::Mesh, e->side);
-      ev.node = consumer_g;
-      ev.res = res;
-      ev.prod = g;
-      ev.aux = epoch[static_cast<std::size_t>(consumer_g)];
-      ev.tick = sealed ? mesh_closed(*e) : mesh_arrival(r, res, *e);
-      push(r, ev);
+      push(r, res, sealed ? mesh_closed(*e) : mesh_arrival(r, res, *e),
+           detail::kind_side(EvKind::Mesh, e->side), consumer_g,
+           epoch[static_cast<std::size_t>(consumer_g)], g);
     }
   }
 
@@ -1047,12 +1041,7 @@ struct MultiEngine::Impl {
                               static_cast<std::int32_t>(pn), grpb, cost});
       }
     }
-    Event ev;
-    ev.set(EvKind::ExecDone);
-    ev.node = g;
-    ev.res = res;
-    ev.tick = now + cost;
-    push(r, ev);
+    push(r, res, now + cost, detail::kind_side(EvKind::ExecDone), g);
   }
 
   void note_fire(obs::MetricsRegistry& mx, std::int32_t pn, std::uint8_t opb,
@@ -1170,13 +1159,10 @@ struct MultiEngine::Impl {
       const std::int64_t svc_ticks = k * cfg.ring.gpp_service;
       record_service<kInstr>(res, g, net::RingService::GppService,
                              svc_ticks);
-      Event ev;
-      ev.set(EvKind::ServiceDone);
-      ev.node = g;
-      ev.res = res;
-      ev.tick = ring_done(res, net::RingService::GppService, svc_ticks,
-                          /*blocking=*/true);
-      push(r, ev);
+      push(r, res,
+           ring_done(res, net::RingService::GppService, svc_ticks,
+                     /*blocking=*/true),
+           detail::kind_side(EvKind::ServiceDone), g);
       return;
     }
     if (grp == Group::MemRead) {
@@ -1188,13 +1174,10 @@ struct MultiEngine::Impl {
       const std::int64_t svc_ticks = k * cfg.ring.memory_read;
       record_service<kInstr>(res, g, net::RingService::MemoryRead,
                              svc_ticks);
-      Event ev;
-      ev.set(EvKind::ServiceDone);
-      ev.node = g;
-      ev.res = res;
-      ev.tick = ring_done(res, net::RingService::MemoryRead, svc_ticks,
-                          /*blocking=*/true);
-      push(r, ev);
+      push(r, res,
+           ring_done(res, net::RingService::MemoryRead, svc_ticks,
+                     /*blocking=*/true),
+           detail::kind_side(EvKind::ServiceDone), g);
       return;
     }
     if (grp == Group::MemWrite) {

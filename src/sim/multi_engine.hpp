@@ -150,8 +150,10 @@ class MultiEngine {
   // plan must fit and stay alive (read-only) until advance() returns
   // the residency; `phys_delta` rebases every physical-node index in the
   // plan (0 for a dedicated plan, rows*width/idus-aligned for a shared
-  // canonical plan). Returns -1 for an unfit plan or when kMaxResidents
-  // residencies are alive at once.
+  // canonical plan). Returns -1 for an unfit plan, for a plan lowered
+  // for another MachineConfig than this fabric's (its lowered costs
+  // would mix with this fabric's k, hop and ring latencies), or when
+  // kMaxResidents residencies are alive at once.
   ResidentId admit(const bytecode::Method& m, const ExecPlan& plan,
                    std::int32_t phys_delta,
                    BranchPredictor::Scenario scenario,

@@ -28,21 +28,11 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
                                  const fabric::Placement* placement,
                                  const MachineConfig& config) {
   const std::size_t nn = m.code.size();
-  out.collapsed_ = config.collapsed();
-  out.k_ = config.serial_per_mesh;
-  out.hop_ = out.collapsed_ ? 0 : 1;
-  out.idus_ = std::max(config.idus_per_node, 1);
-  out.width_ = std::max(config.width, 1);
+  out.config_ = config;
+  const std::int64_t k = out.serial_per_mesh();
+  const std::int32_t idus = out.idus_per_node();
   out.max_locals_ = m.max_locals;
   out.node_count_ = static_cast<std::int32_t>(nn);
-  out.service_ticks_[static_cast<std::size_t>(net::RingService::MemoryRead)] =
-      out.k_ * config.ring.memory_read;
-  out.service_ticks_[static_cast<std::size_t>(net::RingService::MemoryWrite)] =
-      out.k_ * config.ring.memory_write;
-  out.service_ticks_[static_cast<std::size_t>(
-      net::RingService::ConstantRead)] = out.k_ * config.ring.constant_read;
-  out.service_ticks_[static_cast<std::size_t>(net::RingService::GppService)] =
-      out.k_ * config.ring.gpp_service;
 
   fabric::Placement local;
   const fabric::Placement* pl = placement;
@@ -72,10 +62,10 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
     out.route_pairs_ = nullptr;
     return;
   }
-  out.max_phys_ = pl->max_slot / out.idus_;
+  out.max_phys_ = pl->max_slot / idus;
 
   // ---- lower the edges (producer-major, back edges dropped) ----
-  const net::MeshNetwork mesh(out.width_);
+  const net::MeshNetwork mesh(std::max(config.width, 1));
   edges_.clear();
   edge_begin_.clear();
   edge_begin_.reserve(nn + 1);
@@ -85,18 +75,18 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
   pair_index.reserve(64);
   for (std::size_t i = 0; i < nn; ++i) {
     edge_begin_.push_back(static_cast<std::int32_t>(edges_.size()));
-    const std::int32_t from_phys = pl->slot_of[i] / out.idus_;
+    const std::int32_t from_phys = pl->slot_of[i] / idus;
     for (const fabric::Edge& e : graph.consumers_of[i]) {
       if (e.back) continue;  // absent in valid Java (Table 7)
       PlanEdge pe;
       pe.consumer = e.consumer;
       pe.side = e.side;
       pe.to_phys =
-          pl->slot_of[static_cast<std::size_t>(e.consumer)] / out.idus_;
+          pl->slot_of[static_cast<std::size_t>(e.consumer)] / idus;
       pe.mesh_cycles = static_cast<std::int32_t>(
-          mesh.transit_mesh_cycles(from_phys, pe.to_phys, out.collapsed_));
+          mesh.transit_mesh_cycles(from_phys, pe.to_phys, out.collapsed()));
       pe.delivery_ticks =
-          static_cast<std::int32_t>(out.k_ * pe.mesh_cycles);
+          static_cast<std::int32_t>(k * pe.mesh_cycles);
       const std::uint64_t key =
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from_phys))
            << 32) |
@@ -267,11 +257,11 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
     pop_need[i] = inst.pop;
     local_reg[i] = bytecode::local_register(inst);
     slot[i] = pl->slot_of[i];
-    phys[i] = pl->slot_of[i] / out.idus_;
+    phys[i] = pl->slot_of[i] / idus;
     target[i] = inst.target;
     operand[i] = inst.operand;
     exec_cost[i] =
-        static_cast<std::int32_t>(out.k_ * bytecode::execution_mesh_cycles(g));
+        static_cast<std::int32_t>(k * bytecode::execution_mesh_cycles(g));
     std::int64_t extra = 0;
     if (g == bytecode::Group::MemRead) {
       extra = out.service_ticks(net::RingService::MemoryRead);
@@ -292,7 +282,7 @@ void ExecPlanBuilder::build_into(ExecPlan& out, const bytecode::Method& m,
   for (std::size_t i = 0; i + 1 < nn; ++i) {
     const std::int32_t hops = std::abs(phys[i + 1] - phys[i]);
     serial_next[i] =
-        static_cast<std::int32_t>(out.hop_ * std::max(hops, 1));
+        static_cast<std::int32_t>(out.hop_ticks() * std::max(hops, 1));
   }
   if (nn != 0) serial_next[nn - 1] = -1;
 

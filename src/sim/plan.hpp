@@ -21,9 +21,10 @@
 //
 // The plan is the engine's only input format: Engine::run lowers any
 // (graph, placement) it is handed into one before executing. A plan is
-// read-only after build: the parallel sweep builds each plan once in
-// its precompute phase and shares it across worker lanes and both
-// branch scenarios.
+// read-only after build and records the MachineConfig it was lowered
+// for: the sweep builds a method's six plans once, runs both branch
+// scenarios of every config from them on one engine, and frees them
+// before the lane draws its next method.
 #pragma once
 
 #include <algorithm>
@@ -98,15 +99,31 @@ class ExecPlan {
   std::int32_t node_count() const noexcept { return node_count_; }
   std::int32_t max_slot() const noexcept { return max_slot_; }
   std::int32_t max_phys() const noexcept { return max_phys_; }
-  std::int64_t serial_per_mesh() const noexcept { return k_; }
-  std::int64_t hop_ticks() const noexcept { return hop_; }
-  std::int32_t idus_per_node() const noexcept { return idus_; }
-  bool collapsed() const noexcept { return collapsed_; }
+  std::int64_t serial_per_mesh() const noexcept {
+    return config_.serial_per_mesh;
+  }
+  std::int64_t hop_ticks() const noexcept { return collapsed() ? 0 : 1; }
+  std::int32_t idus_per_node() const noexcept {
+    return std::max(config_.idus_per_node, 1);
+  }
+  bool collapsed() const noexcept { return config_.collapsed(); }
   std::int32_t max_locals() const noexcept { return max_locals_; }
+  // The MachineConfig the plan was lowered for: its timing model is the
+  // one Engine::run(m, plan) simulates, and MultiEngine::admit refuses a
+  // plan whose config is not the fabric's own.
+  const MachineConfig& config() const noexcept { return config_; }
 
-  // Ring service round trips in ticks, indexed by net::RingService.
+  // Ring service round trips in ticks.
   std::int64_t service_ticks(net::RingService s) const noexcept {
-    return service_ticks_[static_cast<std::size_t>(s)];
+    const net::RingLatencies& rl = config_.ring;
+    std::int64_t cycles = rl.gpp_service;
+    switch (s) {
+      case net::RingService::MemoryRead: cycles = rl.memory_read; break;
+      case net::RingService::MemoryWrite: cycles = rl.memory_write; break;
+      case net::RingService::ConstantRead: cycles = rl.constant_read; break;
+      case net::RingService::GppService: break;
+    }
+    return serial_per_mesh() * cycles;
   }
 
   // ---- per-node lanes (length node_count) ----
@@ -164,7 +181,7 @@ class ExecPlan {
     const std::int32_t a = from_node < 0 ? -1 : phys_[from_node];
     const std::int32_t b = phys_[to_node];
     const std::int64_t hops = a < 0 ? b + 1 : (a < b ? b - a : a - b);
-    return hop_ * std::max<std::int64_t>(hops, 1);
+    return hop_ticks() * std::max<std::int64_t>(hops, 1);
   }
 
   // The route link span of the deduplicated (from_phys, to_phys) pair,
@@ -204,17 +221,12 @@ class ExecPlan {
   // engine workspace reuses its event buffers).
   std::vector<std::byte> arena_;
 
+  MachineConfig config_;
   bool fits_ = false;
-  bool collapsed_ = false;
   std::int32_t node_count_ = 0;
   std::int32_t max_slot_ = -1;
   std::int32_t max_phys_ = -1;
-  std::int64_t k_ = 1;
-  std::int64_t hop_ = 1;
-  std::int32_t idus_ = 1;
-  std::int32_t width_ = 10;
   std::int32_t max_locals_ = 0;
-  std::int64_t service_ticks_[4] = {0, 0, 0, 0};
   std::int32_t route_pair_count_ = 0;
   std::int32_t route_phys_min_ = -1;
   std::int32_t route_phys_max_ = -1;

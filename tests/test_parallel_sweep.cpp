@@ -1,16 +1,22 @@
 // Tests for the parallel sweep engine: byte-identical output across
-// thread counts, the serial in-line fallback, the thread-pool utility,
-// and determinism of engine workspace reuse.
+// thread counts, the serial in-line fallback, the sweep's live-plan
+// bound, the thread-pool utility, and determinism of engine workspace
+// reuse, within one config and across configs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/figure_of_merit.hpp"
 #include "bytecode/assembler.hpp"
 #include "fabric/dataflow_graph.hpp"
+#include "obs/critpath.hpp"
 #include "sim/engine.hpp"
+#include "sim/plan.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/corpus.hpp"
 
@@ -83,8 +89,13 @@ TEST(ThreadPool, SubmitAndWaitIdleDrainTheQueue) {
 
 // ---- sweep determinism ----
 
-analysis::Sweep corpus_sweep(int threads, int stride) {
+const workloads::Corpus& shared_corpus() {
   static const workloads::Corpus corpus = workloads::make_corpus({});
+  return corpus;
+}
+
+analysis::Sweep corpus_sweep(int threads, int stride) {
+  const workloads::Corpus& corpus = shared_corpus();
   std::vector<const bytecode::Method*> methods;
   for (const bytecode::Method& m : corpus.program.methods) {
     methods.push_back(&m);
@@ -115,6 +126,17 @@ TEST(ParallelSweep, MatchesSerialOnStridedCorpus) {
         << parallel.samples[i].method << ")";
   }
   EXPECT_EQ(serial.samples, parallel.samples);
+
+  // Each method's task frees its plans before its lane draws the next
+  // method, so at most one method's plans (one per config) per lane are
+  // ever alive: exactly one set in the serial sweep.
+  const std::size_t configs = serial.configs.size();
+  ASSERT_EQ(serial.profile.lanes.size(), 1u);
+  ASSERT_EQ(parallel.profile.lanes.size(), 4u);
+  EXPECT_EQ(serial.profile.peak_live_plans, configs);
+  EXPECT_GE(parallel.profile.peak_live_plans, configs);
+  EXPECT_LE(parallel.profile.peak_live_plans,
+            configs * parallel.profile.lanes.size());
 }
 
 TEST(ParallelSweep, ThreadsOneMatchesDefaultOptions) {
@@ -175,6 +197,73 @@ TEST(EngineWorkspace, ReusedEngineReproducesFreshEngineResults) {
       fresh.run(p.methods[0], loop_graph, bp);
   EXPECT_EQ(fresh_metrics, first[0]);
   EXPECT_TRUE(fresh_metrics.completed);
+}
+
+// A plan carries its config's timing model, so one engine — one
+// workspace — runs every config's plans, as a sweep lane does. Here it
+// runs the six Table 15 plans of a stride sample of the corpus in a
+// shuffled (config, scenario) order, and every cell must match an
+// engine dedicated to that config field for field: the RunMetrics and
+// the flight recorder's full critical-path attribution.
+TEST(EngineWorkspace, OneEngineRunsEveryConfigLikePerConfigEngines) {
+  const workloads::Corpus& corpus = shared_corpus();
+  const std::vector<sim::MachineConfig> configs = sim::table15_configs();
+  // The shared engine's own config matches none of the plans': a run
+  // from a plan must never read it.
+  sim::MachineConfig unused;
+  unused.name = "unused";
+  unused.serial_per_mesh = 7;
+  obs::FlightRecorder shared_flight;
+  sim::EngineOptions shared_options;
+  shared_options.flight = &shared_flight;
+  sim::Engine shared(unused, shared_options);
+
+  std::vector<obs::FlightRecorder> flights(configs.size());
+  std::vector<sim::Engine> dedicated;
+  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+    sim::EngineOptions options;
+    options.flight = &flights[ci];
+    dedicated.emplace_back(configs[ci], options);
+  }
+
+  using Scenario = sim::BranchPredictor::Scenario;
+  std::vector<std::pair<std::size_t, Scenario>> order;
+  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+    for (const Scenario s : {Scenario::BP1, Scenario::BP2}) {
+      order.emplace_back(ci, s);
+    }
+  }
+  std::mt19937 rng(16);
+  sim::ExecPlanBuilder builder;
+  std::size_t cells = 0;
+  std::size_t attributed = 0;
+  for (std::size_t mi = 0; mi < corpus.program.methods.size(); mi += 53) {
+    const bytecode::Method& m = corpus.program.methods[mi];
+    const fabric::DataflowGraph graph =
+        fabric::build_dataflow_graph(m, corpus.program.pool);
+    std::vector<sim::ExecPlan> plans;
+    for (const sim::MachineConfig& cfg : configs) {
+      plans.push_back(builder.build(m, graph, nullptr, cfg));
+    }
+    std::shuffle(order.begin(), order.end(), rng);
+    for (const auto& [ci, scenario] : order) {
+      obs::AttributeOptions ao;
+      ao.plan = &plans[ci];
+      sim::BranchPredictor bp_shared(scenario);
+      const sim::RunMetrics got = shared.run(m, plans[ci], bp_shared);
+      const obs::Attribution got_attr = obs::attribute(shared_flight, ao);
+      sim::BranchPredictor bp_dedicated(scenario);
+      const sim::RunMetrics want =
+          dedicated[ci].run(m, plans[ci], bp_dedicated);
+      const obs::Attribution want_attr = obs::attribute(flights[ci], ao);
+      ASSERT_EQ(got, want) << m.name << " on " << configs[ci].name;
+      ASSERT_EQ(got_attr, want_attr) << m.name << " on " << configs[ci].name;
+      ++cells;
+      attributed += want_attr.valid ? 1 : 0;
+    }
+  }
+  EXPECT_GT(cells, 300u);
+  EXPECT_GT(attributed, cells / 2);
 }
 
 }  // namespace

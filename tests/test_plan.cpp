@@ -11,8 +11,7 @@
 // exactly like a run of the caller's own plan, and the plan's per-link
 // MeshTransit decomposition must agree with a net::MeshNetwork route
 // walk done here in the test. Plans are also shareable: one read-only ExecPlan serves any number of
-// concurrent engines (the parallel sweep's cross-lane sharing; run this
-// binary under TSan).
+// concurrent engines (run this binary under TSan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -499,9 +498,8 @@ TEST(PlanLane, SerialForwardLaneMatchesSerialDelayWalk) {
 
 // ---- plan sharing ----
 
-// One plan object, several concurrent engines: the dedup-class sharing
-// run_sweep does across worker lanes, reduced to its essence. Under
-// TSan this proves the plan's read-only contract.
+// One plan object, several concurrent engines. Under TSan this proves
+// the plan's read-only contract.
 TEST(PlanSharing, OnePlanServesConcurrentEngines) {
   const Program p = loop_program();
   const fabric::DataflowGraph graph =

@@ -42,10 +42,13 @@ using sim::detail::EventAfter;
 
 // ---- queue oracle ----
 
-// Pushes the same events into the calendar and the reference heap and
-// checks every pop against the heap's top. Each dispatched event may
-// schedule follow-ups: zero-delay (same tick, behind the drain point),
-// short in-ring delays, and delays far past the ring (overflow spill).
+// Emplaces the same events into the calendar and the reference heap
+// and checks every pop, field for field, against the heap's top. Every
+// event carries random payload fields, so a slot written in place with
+// a field missing or swapped shows up as a mismatch. Each dispatched
+// event may schedule follow-ups: zero-delay (same tick, behind the
+// drain point), short in-ring delays, and delays far past the ring
+// (overflow spill).
 class Oracle {
  public:
   explicit Oracle(std::uint64_t seed) : rng_(seed) {}
@@ -54,7 +57,14 @@ class Oracle {
     Event ev;
     ev.tick = tick;
     ev.node = static_cast<std::int32_t>(pushed_++);
-    cal.push(ev);
+    ev.aux = static_cast<std::int32_t>(rng_() % 1000) - 500;
+    ev.prod = static_cast<std::int32_t>(rng_() % 1000) - 1;
+    ev.res = static_cast<std::uint16_t>(rng_());
+    ev.kind_side = static_cast<std::uint8_t>(rng_());
+    ev.cmd = static_cast<net::Command>(rng_() % 4);
+    ev.seq = cal.emplace(ev.tick, ev.kind_side, ev.node, ev.aux, ev.prod,
+                         ev.res, ev.cmd);
+    ASSERT_EQ(ev.seq, pushed_ - 1);  // seq is stamped in call order
     ref_.push(ev);
   }
 
@@ -72,6 +82,11 @@ class Oracle {
     ASSERT_EQ(ev.tick, want.tick) << "pop " << popped_;
     ASSERT_EQ(ev.seq, want.seq) << "pop " << popped_;
     ASSERT_EQ(ev.node, want.node) << "pop " << popped_;
+    ASSERT_EQ(ev.aux, want.aux) << "pop " << popped_;
+    ASSERT_EQ(ev.prod, want.prod) << "pop " << popped_;
+    ASSERT_EQ(ev.res, want.res) << "pop " << popped_;
+    ASSERT_EQ(ev.kind_side, want.kind_side) << "pop " << popped_;
+    ASSERT_EQ(ev.cmd, want.cmd) << "pop " << popped_;
     ++popped_;
     if (pushed_ >= kBudget) return;
     const int followups = static_cast<int>(rng_() % 4);
@@ -185,34 +200,25 @@ TEST(CalendarQueue, SingleEventDrainMatchesHeapOrder) {
 TEST(CalendarQueue, CursorJumpKeepsSpilledEventsFirst) {
   CalendarQueue q;
   q.reset(64);
-  Event spilled;
-  spilled.tick = 100;  // beyond the window [0, 64): overflow
-  spilled.node = 1;
-  q.push(spilled);
+  // Tick 100 is beyond the window [0, 64): overflow.
+  const std::int64_t spilled = q.emplace(100, 0, /*node=*/1);
   q.advance_to(90);  // 100 is now inside [90, 154)
-  Event later;
-  later.tick = 100;
-  later.node = 2;
-  q.push(later);
-  ASSERT_GT(later.seq, spilled.seq);
+  const std::int64_t later = q.emplace(100, 0, /*node=*/2);
+  ASSERT_GT(later, spilled);
   EXPECT_EQ(q.next_pending_tick(), 100);
   q.advance_to(100);
   const Bucket& bucket = q.current();
   ASSERT_EQ(bucket.size(), 2u);
   EXPECT_EQ(bucket[0].node, 1);
-  EXPECT_EQ(bucket[0].seq, spilled.seq);
+  EXPECT_EQ(bucket[0].seq, spilled);
   EXPECT_EQ(bucket[1].node, 2);
-  EXPECT_EQ(bucket[1].seq, later.seq);
+  EXPECT_EQ(bucket[1].seq, later);
 }
 
 TEST(CalendarQueue, ResetDropsPendingEventsAndRewinds) {
   CalendarQueue q;
   q.reset(64);
-  for (std::int64_t t : {0, 5, 63, 64, 5000}) {
-    Event ev;
-    ev.tick = t;
-    q.push(ev);
-  }
+  for (std::int64_t t : {0, 5, 63, 64, 5000}) q.emplace(t, 0, -1);
   EXPECT_EQ(q.live(), 5);
   EXPECT_EQ(q.next_pending_tick(), 5);
   q.reset(128);
@@ -220,10 +226,7 @@ TEST(CalendarQueue, ResetDropsPendingEventsAndRewinds) {
   EXPECT_EQ(q.cursor(), 0);
   EXPECT_TRUE(q.current().empty());
   EXPECT_EQ(q.next_pending_tick(), std::numeric_limits<std::int64_t>::max());
-  Event ev;
-  ev.tick = 0;
-  q.push(ev);
-  EXPECT_EQ(ev.seq, 0);  // the seq stamp rewinds too
+  EXPECT_EQ(q.emplace(0, 0, -1), 0);  // the seq stamp rewinds too
   EXPECT_EQ(q.current().size(), 1u);
 }
 

@@ -665,6 +665,42 @@ TEST(MultiEngineLifetime, SequentialAdmissionsRecycleIdsPastTheCap) {
   EXPECT_EQ(engine.resident_count(), static_cast<std::size_t>(kAdmissions));
 }
 
+// A plan records the MachineConfig it was lowered for, and a fabric
+// refuses a plan of any other config — even one that differs from its
+// own in a single ring latency — since the plan's lowered costs would
+// mix with this fabric's k, hop and ring timing. A refusal admits
+// nothing; the fabric's own plan then runs exactly like Engine.
+TEST(MultiEngineAdmission, RefusesPlanLoweredForAnotherConfig) {
+  const Program p = loop_program();
+  const bytecode::Method& m = p.methods[0];
+  const fabric::DataflowGraph graph = fabric::build_dataflow_graph(m, p.pool);
+  const sim::MachineConfig cfg = sim::config_by_name("Compact2");
+  sim::MachineConfig slow_read = cfg;
+  slow_read.ring.memory_read += 1;
+  MultiEngine engine(cfg);
+  for (const sim::MachineConfig& other :
+       {sim::config_by_name("Compact4"), sim::config_by_name("Hetero2"),
+        slow_read}) {
+    const ExecPlan plan = ExecPlanBuilder().build(m, graph, nullptr, other);
+    ASSERT_TRUE(plan.fits());
+    EXPECT_EQ(engine.admit(m, plan, 0, BranchPredictor::Scenario::BP1, 0),
+              -1)
+        << other.canonical_text();
+  }
+  EXPECT_EQ(engine.resident_count(), 0u);
+  EXPECT_TRUE(engine.idle());
+
+  const ExecPlan own = ExecPlanBuilder().build(m, graph, nullptr, cfg);
+  const sim::ResidentId id =
+      engine.admit(m, own, 0, BranchPredictor::Scenario::BP1, 0);
+  ASSERT_GE(id, 0);
+  while (engine.advance().has_value()) {
+  }
+  ASSERT_NE(engine.outcome(id), nullptr);
+  EXPECT_EQ(engine.outcome(id)->metrics,
+            single_run(cfg, m, own, BranchPredictor::Scenario::BP1));
+}
+
 // ---- request stream ----
 
 // A five-method serving corpus: the loop plus arithmetic chains of
